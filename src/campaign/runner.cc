@@ -45,6 +45,47 @@ readFileOrFatal(const std::string &path)
 
 } // namespace
 
+std::unique_ptr<fault::FaultInjector>
+wireScenarioRun(core::Network &network, const scenario::Scenario &scenario,
+                const scenario::Lowered &low)
+{
+    if (low.broadcastLoss > 0.0) {
+        if (!network.broadcastChannel()) {
+            sim::fatal("[radio] loss needs the sequential broadcast "
+                       "channel: threads = 1 and model = broadcast (the "
+                       "spatial model has per-link loss instead)");
+        }
+        for (unsigned d = 0; net::Channel *ch = network.broadcastChannel(d);
+             ++d) {
+            ch->setLossProbability(low.broadcastLoss);
+        }
+    }
+
+    if (!low.fault)
+        return nullptr;
+    // The fault campaign attaches to one node's fabric (and, when
+    // available, the broadcast channel), on that node's shard.
+    const unsigned target = low.fault->node;
+    core::SensorNode &node = network.node(target);
+    auto injector = std::make_unique<fault::FaultInjector>(
+        network.shardSimulation(network.shardOf(target)), "fault",
+        scenario.seed);
+    injector->attachSram(&node.memory());
+    injector->attachDevice("msgProc", &node.msgProc());
+    injector->attachDevice("compressor", &node.compressor());
+    if (net::Channel *ch = network.broadcastChannel())
+        injector->attachChannel(ch);
+    // node-fail / node-revive plan actions act on the target node.
+    injector->attachLifecycle([&network, target](bool up) {
+        if (up)
+            network.reviveNodeNow(target);
+        else
+            network.powerOffNodeNow(target);
+    });
+    injector->runText(readFileOrFatal(low.fault->campaign));
+    return injector;
+}
+
 std::string
 encodeField(const std::string &s)
 {
@@ -88,37 +129,8 @@ executeRun(const scenario::Scenario &scenario)
     core::Network network(low.spec);
     sleep::SleepController sleepCtl(network);
 
-    if (low.broadcastLoss > 0.0) {
-        if (!network.broadcastChannel()) {
-            sim::fatal("[radio] loss needs the sequential broadcast "
-                       "channel: threads = 1 and model = broadcast");
-        }
-        for (unsigned d = 0;
-             net::Channel *ch = network.broadcastChannel(d); ++d) {
-            ch->setLossProbability(low.broadcastLoss);
-        }
-    }
-
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (low.fault) {
-        const unsigned target = low.fault->node;
-        core::SensorNode &node = network.node(target);
-        injector = std::make_unique<fault::FaultInjector>(
-            network.shardSimulation(network.shardOf(target)), "fault",
-            scenario.seed);
-        injector->attachSram(&node.memory());
-        injector->attachDevice("msgProc", &node.msgProc());
-        injector->attachDevice("compressor", &node.compressor());
-        if (net::Channel *ch = network.broadcastChannel())
-            injector->attachChannel(ch);
-        injector->attachLifecycle([&network, target](bool up) {
-            if (up)
-                network.reviveNodeNow(target);
-            else
-                network.powerOffNodeNow(target);
-        });
-        injector->runText(readFileOrFatal(low.fault->campaign));
-    }
+    const std::unique_ptr<fault::FaultInjector> injector =
+        wireScenarioRun(network, scenario, low);
 
     std::optional<scenario::ResilienceReport> resilience;
     if (scenario.lifecycle) {

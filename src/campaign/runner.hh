@@ -37,6 +37,7 @@
 #define ULP_CAMPAIGN_RUNNER_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,7 +45,32 @@
 #include "campaign/store.hh"
 #include "scenario/scenario.hh"
 
+namespace ulp::core {
+class Network;
+}
+namespace ulp::fault {
+class FaultInjector;
+}
+namespace ulp::scenario {
+struct Lowered;
+}
+
 namespace ulp::campaign {
+
+/**
+ * Wire a built network for one scenario run, the same way for every
+ * entry point (`ulpsim run`, campaign workers): the `[radio] loss`
+ * probability on each sequential broadcast channel, then the `[fault]`
+ * campaign's injector on the target node's shard (SRAM, message
+ * processor, compressor, broadcast channel when present, node
+ * lifecycle). Returns the injector, null without `[fault]`; keep it
+ * alive for the whole run. Fatal when `[radio] loss` is set on a network
+ * without a sequential broadcast channel, or the fault plan is
+ * unreadable.
+ */
+std::unique_ptr<fault::FaultInjector>
+wireScenarioRun(core::Network &network, const scenario::Scenario &scenario,
+                const scenario::Lowered &low);
 
 /**
  * Execute one resolved scenario in-process and return the fixed-schema

@@ -35,17 +35,21 @@ Network::build(const scenario::NetworkSpec &spec)
     if (spec.spatial) {
         model = std::make_unique<net::SpatialModel>(*spec.spatial,
                                                     spec.positions());
-        // The spatial medium runs on the relay fabric at every K; the
-        // K=1 scheduler path is a plain run, so nothing is lost.
-        relay = std::make_unique<net::FrameRelay>(K, spec.bitRate);
     } else if (K > 1) {
         if (domains > 1) {
             sim::fatal("Network: multiple broadcast domains require "
                        "threads=1 (or the spatial model, which supports "
                        "any thread count)");
         }
-        relay = std::make_unique<net::FrameRelay>(K, spec.bitRate);
+        // A flat broadcast domain is the degenerate spatial model, so
+        // the sharded kernel runs it on the same medium.
+        model = std::make_unique<net::SpatialModel>(
+            net::SpatialModel::fullMesh(N));
     }
+    // The spatial medium runs on the relay fabric at every K; the K=1
+    // scheduler path is a plain run, so nothing is lost.
+    if (model)
+        relay = std::make_unique<net::FrameRelay>(K, spec.bitRate);
 
     // Spatial scenarios with K > 1 partition by locality (recursive
     // coordinate bisection), so each shard owns a compact tile and
@@ -73,11 +77,11 @@ Network::build(const scenario::NetworkSpec &spec)
             shard.simulation->setTelemetry(spec.telemetrySink(s));
 
         net::Medium *medium = nullptr;
-        if (spec.spatial) {
-            shard.spatialChannel = std::make_unique<net::SpatialMedium>(
+        if (model) {
+            shard.spatialMedium = std::make_unique<net::SpatialMedium>(
                 *shard.simulation, "channel", *relay, s, *model);
-            medium = shard.spatialChannel.get();
-        } else if (K == 1) {
+            medium = shard.spatialMedium.get();
+        } else {
             // One Channel per broadcast domain. The single-domain name
             // stays "channel" so existing stat layouts are unchanged.
             for (unsigned d = 0; d < domains; ++d) {
@@ -87,10 +91,6 @@ Network::build(const scenario::NetworkSpec &spec)
                                  : "channel" + std::to_string(d),
                     spec.bitRate, spec.channelSeed + d));
             }
-        } else {
-            shard.shardChannel = std::make_unique<net::ShardChannel>(
-                *shard.simulation, "channel", *relay, s);
-            medium = shard.shardChannel.get();
         }
 
         // Nodes are constructed in ascending global index within their
@@ -107,8 +107,8 @@ Network::build(const scenario::NetworkSpec &spec)
                 medium));
             SensorNode *node = shard.nodes.back().get();
             nodeByIndex[i] = node;
-            if (shard.spatialChannel)
-                shard.spatialChannel->bind(&node->radio(), i);
+            if (shard.spatialMedium)
+                shard.spatialMedium->bind(&node->radio(), i);
             apps::install(*node, ns.buildApp());
             for (const MessageProcessor::Route &r : ns.routes)
                 node->msgProc().preloadRoute(r.origin, r.nextHop);
@@ -121,8 +121,9 @@ Network::build(const scenario::NetworkSpec &spec)
     // (bounding boxes further apart than the interference reach) are
     // severed outright — they neither wait on one another nor exchange
     // records. In the zero-propagation-delay radio model every coupled
-    // pair keeps the global (min airtime) lookahead.
-    if (model && K > 1) {
+    // pair keeps the global (min airtime) lookahead, and so does every
+    // pair of the full mesh.
+    if (spec.spatial && K > 1) {
         struct Box
         {
             double min_x, max_x, min_y, max_y;
@@ -195,14 +196,9 @@ Network::runUntilTick(sim::Tick end)
         shards[0].simulation->runUntil(end);
     } else {
         sim::ParallelScheduler scheduler(relay->lookahead());
-        for (Shard &shard : shards) {
-            sim::ShardCoupling *coupling =
-                shard.spatialChannel
-                    ? static_cast<sim::ShardCoupling *>(
-                          shard.spatialChannel.get())
-                    : shard.shardChannel.get();
-            scheduler.addShard(shard.simulation->eventq(), coupling);
-        }
+        for (Shard &shard : shards)
+            scheduler.addShard(shard.simulation->eventq(),
+                               shard.spatialMedium.get());
         // Mirror the relay's pair topology into the scheduler: severed
         // pairs free-run past one another, the rest keep the default.
         for (unsigned a = 0; a < relay->numShards(); ++a) {
@@ -240,8 +236,8 @@ Network::reviveNodeNow(unsigned node)
     if (&n->simulation() != shards[s].simulation.get())
         sim::panic("Network: node %u revived on a foreign shard", node);
     n->supplyUp();
-    if (shards[s].spatialChannel)
-        shards[s].spatialChannel->bind(&n->radio(), node);
+    if (shards[s].spatialMedium)
+        shards[s].spatialMedium->bind(&n->radio(), node);
     applyNodePlatformConfig(node);
     // Reinstall the factory image (SRAM did not survive) and boot. The
     // route CAM is intentionally left empty: repair re-teaches it.
@@ -258,8 +254,8 @@ Network::wakeNodeFromDeepSleep(unsigned node)
     if (&n->simulation() != shards[s].simulation.get())
         sim::panic("Network: node %u woken on a foreign shard", node);
     n->deepSleepWake();
-    if (shards[s].spatialChannel)
-        shards[s].spatialChannel->bind(&n->radio(), node);
+    if (shards[s].spatialMedium)
+        shards[s].spatialMedium->bind(&n->radio(), node);
     applyNodePlatformConfig(node);
     apps::install(*n, builtSpec.nodes[node].buildApp());
     // A scheduled wake knows its topology: restore the spec's preload
@@ -331,17 +327,11 @@ Network::counters() const
         // after that, the other shards' copies would double-count.
         const bool countChannel = !statsMerged || s == 0;
         c.eventsProcessed += shard.simulation->eventq().numProcessed();
-        if (shard.spatialChannel) {
-            c.eventsProcessed -= shard.spatialChannel->auxiliaryEvents();
+        if (shard.spatialMedium) {
+            c.eventsProcessed -= shard.spatialMedium->auxiliaryEvents();
             if (countChannel) {
-                c.framesDelivered += shard.spatialChannel->framesDelivered();
-                c.collisions += shard.spatialChannel->collisions();
-            }
-        } else if (shard.shardChannel) {
-            c.eventsProcessed -= shard.shardChannel->auxiliaryEvents();
-            if (countChannel) {
-                c.framesDelivered += shard.shardChannel->framesDelivered();
-                c.collisions += shard.shardChannel->collisions();
+                c.framesDelivered += shard.spatialMedium->framesDelivered();
+                c.collisions += shard.spatialMedium->collisions();
             }
         } else {
             for (const auto &channel : shard.channels) {
@@ -371,20 +361,11 @@ Network::dumpStats(std::ostream &os)
     // Fold every shard's channel stats into shard 0's (once), then print
     // in the sequential layout: channel first, nodes in index order.
     if (!statsMerged) {
-        for (std::size_t s = 1; s < shards.size(); ++s) {
-            if (shards[0].spatialChannel) {
-                shards[0].spatialChannel->mergeFrom(
-                    *shards[s].spatialChannel);
-            } else {
-                shards[0].shardChannel->mergeFrom(*shards[s].shardChannel);
-            }
-        }
+        for (std::size_t s = 1; s < shards.size(); ++s)
+            shards[0].spatialMedium->mergeFrom(*shards[s].spatialMedium);
         statsMerged = true;
     }
-    if (shards[0].spatialChannel)
-        shards[0].spatialChannel->printStats(os);
-    else
-        shards[0].shardChannel->printStats(os);
+    shards[0].spatialMedium->printStats(os);
     for (SensorNode *node : nodeByIndex)
         node->printStats(os);
 }

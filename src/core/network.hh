@@ -7,10 +7,12 @@
  *
  * The medium comes in two flavors, chosen by the spec:
  *
- *  - broadcast (default): one flat domain — net::Channel sequentially,
- *    net::ShardChannel per shard in parallel. Multiple independent
- *    broadcast domains (NodeSpec::domain) are supported sequentially,
- *    one net::Channel per domain.
+ *  - broadcast (default): one flat domain — net::Channel at threads = 1,
+ *    and at K > 1 net::SpatialMedium per shard over a private
+ *    net::SpatialModel::fullMesh() (everyone hears and interferes with
+ *    everyone). Multiple independent broadcast domains
+ *    (NodeSpec::domain) are supported sequentially, one net::Channel
+ *    per domain.
  *  - spatial (NetworkSpec::spatial set): net::SpatialMedium over the
  *    node positions, for *every* thread count — the K=1 scheduler path
  *    degenerates to a plain run, so one implementation serves both and
@@ -25,9 +27,11 @@
  * configuration path (the legacy per-node-lambda Config shim is gone;
  * build a spec with scenario::NetworkSpec/NodeSpec directly).
  *
- * Parallel-mode restrictions (enforced here): no channel loss model and
- * no Gilbert-Elliott bursts on the broadcast medium (see net/relay.hh
- * for why), a single broadcast domain, at most one shard per node.
+ * Parallel-mode restrictions on the broadcast model: no channel loss
+ * model and no Gilbert-Elliott bursts (see net/relay.hh for why;
+ * campaign::wireScenarioRun rejects `[radio] loss` at K > 1) and a
+ * single broadcast domain (enforced here). Every run needs at least one
+ * node per shard.
  */
 
 #ifndef ULP_CORE_NETWORK_HH
@@ -97,8 +101,13 @@ class Network
      */
     net::Channel *broadcastChannel(unsigned domain = 0);
 
-    /** The spatial model the network runs over; null in broadcast mode. */
-    const net::SpatialModel *spatialModel() const { return model.get(); }
+    /** The spatial model the network runs over; null in broadcast mode
+     *  (also at K > 1, where the full-mesh model is private). */
+    const net::SpatialModel *
+    spatialModel() const
+    {
+        return builtSpec.spatial ? model.get() : nullptr;
+    }
 
     /** Run all shards for @p seconds of simulated time. */
     void runForSeconds(double seconds);
@@ -168,8 +177,8 @@ class Network
         std::unique_ptr<sim::Simulation> simulation;
         /** Broadcast media, threads == 1 (one Channel per domain). */
         std::vector<std::unique_ptr<net::Channel>> channels;
-        std::unique_ptr<net::ShardChannel> shardChannel; ///< broadcast, K > 1
-        std::unique_ptr<net::SpatialMedium> spatialChannel; ///< spatial
+        /** The relay-coupled medium: spatial at any K, broadcast at K > 1. */
+        std::unique_ptr<net::SpatialMedium> spatialMedium;
         std::vector<std::unique_ptr<SensorNode>> nodes;
     };
 
@@ -180,6 +189,8 @@ class Network
      *  revive and deep-sleep wake since gating wipes transaction state. */
     void applyNodePlatformConfig(unsigned node);
 
+    /** The scenario's spatial model, or the full mesh of a K > 1
+     *  broadcast run; null for a sequential broadcast run. */
     std::unique_ptr<net::SpatialModel> model;
     std::unique_ptr<net::FrameRelay> relay;
     std::vector<Shard> shards;

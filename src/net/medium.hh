@@ -1,17 +1,17 @@
 /**
  * @file
  * Abstract radio medium: the surface a transceiver (radio device) needs
- * from whatever carries its frames. Three implementations exist:
+ * from whatever carries its frames. Two implementations exist:
  *
  *  - net::Channel — one broadcast domain of the single-threaded kernel
- *    (one EventQueue simulates every node);
- *  - net::ShardChannel — the shard-local medium of the parallel kernel,
- *    which relays transmissions to the other shards' media through the
- *    conservative cross-shard FrameRelay;
- *  - net::SpatialMedium — the position-aware medium (path loss,
- *    per-link delivery probability, interference domains derived from
- *    geometry), also built on the FrameRelay so it runs at any thread
- *    count.
+ *    (one EventQueue simulates every node); the only medium with i.i.d.
+ *    and Gilbert-Elliott loss and fault-injected bursts;
+ *  - net::SpatialMedium — the shard-local medium of the parallel
+ *    kernel, which relays transmissions to the other shards' media
+ *    through the conservative cross-shard FrameRelay. It asks a
+ *    net::SpatialModel who hears and who interferes: log-distance path
+ *    loss over node positions for a spatial scenario (at every thread
+ *    count), or the full mesh for a flat broadcast domain at K > 1.
  *
  * Keeping the transceiver side behind this interface is what lets one
  * RadioDevice implementation run unmodified under every kernel.

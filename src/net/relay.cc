@@ -1,10 +1,6 @@
 #include "net/relay.hh"
 
-#include <algorithm>
-#include <tuple>
-
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace ulp::net {
 
@@ -55,303 +51,6 @@ FrameRelay::lookahead() const
 {
     return sim::secondsToTicks(
         static_cast<double>(Frame::overheadBytes) * 8.0 / _bitRate);
-}
-
-ShardChannel::ShardChannel(sim::Simulation &simulation,
-                           const std::string &name, FrameRelay &relay,
-                           unsigned shard)
-    : sim::SimObject(simulation, name), relay(relay), shard(shard),
-      maxAirTicks(sim::secondsToTicks(
-          static_cast<double>(Frame::maxFrameBytes) * 8.0 /
-          relay.bitRate())),
-      staged(relay.numShards()),
-      statFramesSent(this, "framesSent", "frames put on the air"),
-      statFramesDelivered(this, "framesDelivered",
-                          "frame deliveries to receivers (intact)"),
-      statFramesLost(this, "framesLost",
-                     "per-receiver deliveries dropped by the loss model"),
-      statFramesCorrupted(this, "framesCorrupted",
-                          "per-receiver deliveries corrupted by collision"),
-      statCollisions(this, "collisions",
-                     "transmissions that overlapped another"),
-      statGeBadFrames(this, "geBadFrames",
-                      "frames delivered while the Gilbert-Elliott chain "
-                      "was in the Bad state")
-{
-    if (shard >= relay.numShards())
-        sim::panic("%s: shard %u out of range", this->name().c_str(), shard);
-}
-
-ShardChannel::~ShardChannel() = default;
-
-void
-ShardChannel::attach(Transceiver *transceiver)
-{
-    if (std::find(transceivers.begin(), transceivers.end(), transceiver) !=
-        transceivers.end()) {
-        sim::panic("%s: transceiver attached twice", name().c_str());
-    }
-    transceivers.push_back(transceiver);
-}
-
-void
-ShardChannel::detach(Transceiver *transceiver)
-{
-    auto it = std::find(transceivers.begin(), transceivers.end(),
-                        transceiver);
-    if (it == transceivers.end())
-        return;
-    *it = transceivers.back();
-    transceivers.pop_back();
-}
-
-sim::Tick
-ShardChannel::frameAirTicks(const Frame &frame) const
-{
-    double seconds =
-        static_cast<double>(frame.sizeBytes()) * 8.0 / relay.bitRate();
-    return sim::secondsToTicks(seconds);
-}
-
-void
-ShardChannel::scheduleDelivery(Delivery *delivery, bool cross_shard)
-{
-    if (cross_shard) {
-        // Relayed deliveries slot into the queue exactly where the
-        // single-queue kernel would have put them: scheduled "from" the
-        // remote transmit tick.
-        eventq().scheduleCrossShard(delivery, delivery->rec.end,
-                                    delivery->rec.start);
-    } else {
-        eventq().schedule(delivery, delivery->rec.end);
-    }
-    // A delivery only needs a pre-resolution sync when some peer's
-    // transmissions can actually reach this shard.
-    if (!relay.inboundPeers(shard).empty())
-        pendingSyncs.insert(delivery->rec.end);
-    deliveries.push_back(delivery);
-}
-
-sim::Tick
-ShardChannel::transmit(Transceiver *sender, const Frame &frame)
-{
-    const sim::Tick start = curTick();
-    const sim::Tick end = start + frameAirTicks(frame);
-
-    FlightRecord record{start, end, shard, nextLocalSeq++, 0, 0, frame};
-
-    // Buffer for the coupled peers; the scheduler flushes the outbox
-    // before every safe-tick publication, so the records are always
-    // visible before any peer may rely on them.
-    if (!relay.outboundPeers(shard).empty())
-        outbox.push_back(record);
-
-    window.push_back(
-        {record.start, record.end, record.originShard, record.originSeq});
-
-    Delivery *delivery =
-        deliveryPool.acquire(*this, std::move(record), /*local=*/true,
-                             sender);
-    scheduleDelivery(delivery, /*cross_shard=*/false);
-
-    ++activeLocal;
-    ++statFramesSent;
-
-    for (Transceiver *t : transceivers) {
-        if (t != sender)
-            t->frameStarted(end);
-    }
-    return end;
-}
-
-void
-ShardChannel::publishOutbound()
-{
-    if (outbox.empty())
-        return;
-    for (unsigned to : relay.outboundPeers(shard)) {
-        for (const FlightRecord &record : outbox) {
-            if (!relay.mailbox(shard, to).push(record)) {
-                sim::panic("%s: mailbox to shard %u overflowed "
-                           "(raise FlightMailbox::capacity)",
-                           name().c_str(), to);
-            }
-        }
-    }
-    outbox.clear();
-}
-
-sim::Tick
-ShardChannel::nextSyncTick() const
-{
-    return pendingSyncs.empty() ? sim::maxTick : *pendingSyncs.begin();
-}
-
-void
-ShardChannel::syncDone(sim::Tick tick)
-{
-    // One sync covers every delivery at that tick.
-    pendingSyncs.erase(tick);
-}
-
-void
-ShardChannel::applyRecord(const FlightRecord &record)
-{
-    window.push_back(
-        {record.start, record.end, record.originShard, record.originSeq});
-
-    Delivery *delivery =
-        deliveryPool.acquire(*this, record, /*local=*/false, nullptr);
-    scheduleDelivery(delivery, /*cross_shard=*/true);
-
-    // Carrier sense: remote start-symbol detect, applied at the sync
-    // point (deterministic; see file comment for the approximation).
-    for (Transceiver *t : transceivers)
-        t->frameStarted(record.end);
-}
-
-void
-ShardChannel::applyInbound(sim::Tick up_to)
-{
-    // Drain the SPSC rings of the shards that can reach us into
-    // per-source staging; each source's records arrive in nondecreasing
-    // start order (the outbox is flushed in transmit order).
-    for (unsigned from : relay.inboundPeers(shard)) {
-        relay.mailbox(from, shard).drain(
-            [&](const FlightRecord &rec) { staged[from].push_back(rec); });
-    }
-
-    // Apply records with start < up_to in the canonical total order
-    // (start, originShard, originSeq) via a k-way front merge, so every
-    // shard count and every run applies them identically.
-    for (;;) {
-        std::deque<FlightRecord> *best = nullptr;
-        for (auto &queue : staged) {
-            if (queue.empty() || queue.front().start >= up_to)
-                continue;
-            if (!best ||
-                std::tie(queue.front().start, queue.front().originShard) <
-                    std::tie(best->front().start,
-                             best->front().originShard)) {
-                best = &queue;
-            }
-        }
-        if (!best)
-            break;
-        applyRecord(best->front());
-        best->pop_front();
-    }
-
-    // Retire window intervals too old to overlap any still-pending
-    // flight: a flight undelivered at up_to started after
-    // up_to - maxAirTicks.
-    if (up_to > maxAirTicks) {
-        const sim::Tick horizon = up_to - maxAirTicks;
-        std::erase_if(window,
-                      [&](const Flight &f) { return f.end <= horizon; });
-    }
-}
-
-bool
-ShardChannel::collidesAtStart(const FlightRecord &rec) const
-{
-    // Reproduces the sequential kernel's transmit-time statCollisions
-    // increment: a transmit bumps the counter iff it starts while another
-    // flight is on the air. Same-tick transmit groups contribute
-    // (size - 1) increments, broken by the canonical
-    // (originShard, originSeq) order — order-independent either way.
-    for (const Flight &g : window) {
-        if (g.originShard == rec.originShard && g.originSeq == rec.originSeq)
-            continue;
-        if (g.start < rec.start && g.end > rec.start)
-            return true;
-        if (g.start == rec.start &&
-            std::tie(g.originShard, g.originSeq) <
-                std::tie(rec.originShard, rec.originSeq)) {
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ShardChannel::finalize(sim::Tick end)
-{
-    // Every peer record with start <= end is published by now; pull them
-    // all in. Records from the final partial epoch deliver after `end`
-    // (airtime >= one lookahead), so this schedules their deliveries for
-    // a possible later run segment without firing anything early.
-    applyInbound(end + 1);
-
-    // Settle the collision stat for local flights still on the air at the
-    // horizon: the sequential kernel counted them at transmit time, but
-    // their delivery event — where a shard normally resolves the count —
-    // lies beyond the run. The interval window is complete for every
-    // start <= end, so the verdict is final; `counted` keeps a later
-    // segment's delivery from double-counting it.
-    for (Delivery *delivery : deliveries) {
-        if (!delivery->local || delivery->counted)
-            continue;
-        delivery->counted = true;
-        if (collidesAtStart(delivery->rec))
-            ++statCollisions;
-    }
-}
-
-void
-ShardChannel::deliver(Delivery &delivery)
-{
-    // Retire the Delivery first (mirrors Channel::deliver): receiver
-    // callbacks may transmit, and must see the channel without it. The
-    // pooled slot itself stays live until the end of this function.
-    auto it = std::find(deliveries.begin(), deliveries.end(), &delivery);
-    if (it != deliveries.end())
-        deliveries.erase(it);
-
-    const FlightRecord &rec = delivery.rec;
-
-    // Corruption is a pure function of the interval multiset: this flight
-    // is corrupted iff some other flight strictly overlaps it — exactly
-    // the sequential kernel's mutual corruption marking.
-    bool corrupted = false;
-    for (const Flight &g : window) {
-        if (g.originShard == rec.originShard && g.originSeq == rec.originSeq)
-            continue;
-        if (g.start < rec.end && rec.start < g.end) {
-            corrupted = true;
-            break;
-        }
-    }
-
-    if (delivery.local) {
-        --activeLocal;
-        if (!delivery.counted && collidesAtStart(rec)) {
-            ++statCollisions;
-            ULP_TRACE("Channel", this, "collision at tick %llu",
-                      (unsigned long long)rec.start);
-        }
-    } else {
-        ++auxEvents;
-    }
-
-    // Snapshot the receiver list: frameArrived may attach or detach
-    // transceivers while we iterate; a receiver detached by an earlier
-    // callback is skipped.
-    std::vector<Transceiver *> receivers = transceivers;
-    for (Transceiver *t : receivers) {
-        if (t == delivery.sender)
-            continue;
-        if (std::find(transceivers.begin(), transceivers.end(), t) ==
-            transceivers.end())
-            continue;
-        if (corrupted)
-            ++statFramesCorrupted;
-        else
-            ++statFramesDelivered;
-        t->frameArrived(rec.frame, corrupted);
-    }
-
-    deliveryPool.release(&delivery);
 }
 
 } // namespace ulp::net

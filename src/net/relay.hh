@@ -3,11 +3,11 @@
  * Cross-shard frame relay for the parallel simulation kernel.
  *
  * Under sim::ParallelScheduler every shard simulates its slice of the
- * network on a private EventQueue; the radio channel is the only coupling
+ * network on a private EventQueue; the radio medium is the only coupling
  * between slices. Three pieces implement it:
  *
  *  - FlightRecord: one transmission as seen from outside its shard — the
- *    air interval [start, end), a canonical (originShard, originSeq)
+ *    air interval [start, end), the K-invariant (srcNode, srcTxSeq)
  *    identity, and the frame bytes.
  *  - FlightMailbox: a lock-free single-producer single-consumer ring; one
  *    per ordered shard pair. The origin shard buffers records locally and
@@ -17,17 +17,17 @@
  *    hot path free of cross-shard cache traffic without weakening the
  *    safe-tick contract: the flush happens before the store that makes
  *    the records' interval claimable.
- *  - ShardChannel: the shard-local implementation of net::Medium. It
- *    looks exactly like net::Channel to the radios attached to it, but
- *    resolves collision/corruption lazily, at delivery time, from the
- *    full multiset of transmission intervals (local + relayed): a flight
- *    f is corrupted iff some other flight g strictly overlaps it
- *    (g.start < f.end && f.start < g.end). That predicate — and the
- *    collision counter derived from it — is order-independent, which is
- *    what lets K shards reproduce the single-queue kernel's statistics
- *    exactly.
+ *  - FrameRelay: the mailboxes of one network plus the shard-pair
+ *    lookahead topology.
  *
- * Restrictions relative to net::Channel: no loss model and no
+ * The shard-local medium on top of the relay is net::SpatialMedium, for
+ * every K>1 run: a spatial scenario's model, or SpatialModel::fullMesh()
+ * for a flat broadcast domain. It resolves collision/corruption lazily,
+ * at delivery time, from the full multiset of transmission intervals
+ * (local + relayed), which is order-independent and so lets K shards
+ * reproduce the single-queue kernel's statistics exactly.
+ *
+ * Restrictions relative to net::Channel: no i.i.d. loss model and no
  * Gilbert-Elliott bursts (both draw from the channel RNG in an
  * order-dependent way; the sequential kernel makes zero draws when they
  * are disabled, so disabled-vs-absent is exactly equivalent), and
@@ -44,17 +44,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "net/channel.hh"
 #include "net/frame.hh"
-#include "net/medium.hh"
-#include "net/pool.hh"
-#include "sim/parallel.hh"
-#include "sim/sim_object.hh"
+#include "sim/types.hh"
 
 namespace ulp::net {
 
@@ -63,14 +58,12 @@ struct FlightRecord
 {
     sim::Tick start = 0;       ///< first symbol on the air
     sim::Tick end = 0;         ///< last symbol off the air (delivery tick)
-    std::uint32_t originShard = 0;
     std::uint64_t originSeq = 0; ///< per-origin-shard transmit counter
-    /** Global index of the transmitting node; used by SpatialMedium for
-     *  per-link geometry. ShardChannel (broadcast) leaves it 0. */
+    /** Global index of the transmitting node (per-link geometry). */
     std::uint32_t srcNode = 0;
     /** Per-source-node transmit counter: the K-invariant flight identity
      *  (srcNode, srcTxSeq) that SpatialMedium keys its canonical order
-     *  and per-link loss draws on. ShardChannel leaves it 0. */
+     *  and per-link loss draws on. */
     std::uint64_t srcTxSeq = 0;
     Frame frame;
 };
@@ -120,10 +113,8 @@ class FlightMailbox
     alignas(64) std::atomic<std::size_t> _tail{0};
 };
 
-class ShardChannel;
-
 /**
- * The shared broadcast domain of a sharded network: one mailbox per
+ * The relay fabric of a sharded network: one mailbox per
  * ordered shard pair plus the common channel parameters and the pair
  * lookahead topology. Outlives the per-shard Simulations; owns no
  * SimObjects.
@@ -196,128 +187,6 @@ class FrameRelay
     std::vector<sim::Tick> pairLook;
     std::vector<std::vector<unsigned>> inbound;
     std::vector<std::vector<unsigned>> outbound;
-};
-
-/**
- * One shard's view of the broadcast channel: a net::Medium for the
- * radios that live on this shard and the sim::ShardCoupling hooks for
- * the parallel scheduler. Statistics carry the same names, descriptions
- * and declaration order as net::Channel, so the per-shard groups merge
- * into a report byte-identical to the sequential kernel's.
- */
-class ShardChannel : public sim::SimObject,
-                     public Medium,
-                     public sim::ShardCoupling
-{
-  public:
-    ShardChannel(sim::Simulation &simulation, const std::string &name,
-                 FrameRelay &relay, unsigned shard);
-    ~ShardChannel() override;
-
-    // --- net::Medium ------------------------------------------------------
-    void attach(Transceiver *transceiver) override;
-    void detach(Transceiver *transceiver) override;
-    sim::Tick transmit(Transceiver *sender, const Frame &frame) override;
-    sim::Tick frameAirTicks(const Frame &frame) const override;
-
-    // --- sim::ShardCoupling ----------------------------------------------
-    sim::Tick nextSyncTick() const override;
-    void publishOutbound() override;
-    void applyInbound(sim::Tick up_to) override;
-    void syncDone(sim::Tick tick) override;
-    void finalize(sim::Tick end) override;
-
-    /** True while a local transmission is in flight. */
-    bool busy() const { return activeLocal > 0; }
-
-    std::uint64_t framesSent() const
-    {
-        return static_cast<std::uint64_t>(statFramesSent.value());
-    }
-    std::uint64_t framesDelivered() const
-    {
-        return static_cast<std::uint64_t>(statFramesDelivered.value());
-    }
-    std::uint64_t collisions() const
-    {
-        return static_cast<std::uint64_t>(statCollisions.value());
-    }
-
-    /**
-     * Delivery events processed for *remote* flights. The sequential
-     * kernel delivers each frame with a single event; a K-shard run uses
-     * K events (one per shard). Subtracting this from the summed
-     * EventQueue::numProcessed() recovers the logical event count.
-     */
-    std::uint64_t auxiliaryEvents() const { return auxEvents; }
-
-  private:
-    /** A transmission interval retained for overlap queries. */
-    struct Flight
-    {
-        sim::Tick start;
-        sim::Tick end;
-        std::uint32_t originShard;
-        std::uint64_t originSeq;
-    };
-
-    /**
-     * A pending delivery (local or relayed): an intrusive queue event
-     * allocated from the channel's pool, so the per-frame hot path makes
-     * no heap allocation and no std::function indirection.
-     */
-    struct Delivery : public sim::Event
-    {
-        Delivery(ShardChannel &owner, FlightRecord rec, bool local,
-                 Transceiver *sender)
-            : owner(owner), rec(std::move(rec)), local(local), sender(sender)
-        {}
-
-        void process() override { owner.deliver(*this); }
-        std::string
-        description() const override
-        {
-            return owner.name() + (local ? ".frameEnd" : ".remoteFrameEnd");
-        }
-
-        ShardChannel &owner;
-        FlightRecord rec;
-        bool local;
-        bool counted = false; ///< collision stat already settled
-        Transceiver *sender;  ///< null for relayed flights
-    };
-
-    /** Whether the sequential kernel counts @p rec as a collision. */
-    bool collidesAtStart(const FlightRecord &rec) const;
-
-    void applyRecord(const FlightRecord &record);
-    void deliver(Delivery &delivery);
-    void scheduleDelivery(Delivery *delivery, bool cross_shard);
-
-    FrameRelay &relay;
-    unsigned shard;
-    std::uint64_t nextLocalSeq = 0;
-    unsigned activeLocal = 0;
-    std::uint64_t auxEvents = 0;
-    sim::Tick maxAirTicks;
-
-    std::vector<Transceiver *> transceivers;
-    std::vector<Flight> window;
-    ObjectPool<Delivery> deliveryPool;
-    std::vector<Delivery *> deliveries;
-    /** Records transmitted since the last publishOutbound() flush. */
-    std::vector<FlightRecord> outbox;
-    /** Delivery ticks that still need a pre-delivery sync. */
-    std::multiset<sim::Tick> pendingSyncs;
-    /** Per-source records drained but not yet applicable (start >= upTo). */
-    std::vector<std::deque<FlightRecord>> staged;
-
-    sim::stats::Scalar statFramesSent;
-    sim::stats::Scalar statFramesDelivered;
-    sim::stats::Scalar statFramesLost;
-    sim::stats::Scalar statFramesCorrupted;
-    sim::stats::Scalar statCollisions;
-    sim::stats::Scalar statGeBadFrames;
 };
 
 } // namespace ulp::net

@@ -149,6 +149,21 @@ SpatialModel::SpatialModel(const SpatialConfig &config,
     }
 }
 
+SpatialModel
+SpatialModel::fullMesh(unsigned n)
+{
+    if (n == 0)
+        sim::fatal("SpatialModel: a full mesh needs at least one node");
+    SpatialModel mesh;
+    mesh.pos.assign(n, Position{});
+    mesh.domain.assign(n, 0);
+    mesh.domains = 1;
+    mesh.ring.resize(2 * static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < mesh.ring.size(); ++i)
+        mesh.ring[i] = static_cast<std::uint32_t>(i % n);
+    return mesh;
+}
+
 double
 SpatialModel::distance(unsigned a, unsigned b) const
 {
@@ -174,6 +189,8 @@ SpatialModel::connected(unsigned a, unsigned b) const
 {
     if (a == b)
         return false;
+    if (!ring.empty())
+        return true;
     return rxPowerDbm(a, b) >= cfg.sensitivityDbm;
 }
 
@@ -182,6 +199,8 @@ SpatialModel::deliveryProb(unsigned a, unsigned b) const
 {
     if (a == b)
         return 0.0;
+    if (!ring.empty())
+        return 1.0;
     const double rx = rxPowerDbm(a, b);
     if (rx < cfg.sensitivityDbm)
         return 0.0;
@@ -195,6 +214,8 @@ SpatialModel::interferes(unsigned a, unsigned b) const
 {
     if (a == b)
         return false;
+    if (!ring.empty())
+        return true;
     return rxPowerDbm(a, b) >= cfg.sensitivityDbm - cfg.interferenceMarginDb;
 }
 

@@ -96,6 +96,19 @@ class SpatialModel
   public:
     SpatialModel(const SpatialConfig &config, std::vector<Position> positions);
 
+    /**
+     * The flat broadcast domain as a spatial model: @p n co-located nodes
+     * in one interference domain, where every node decodes and interferes
+     * with every other at delivery probability 1 (so linkDelivers never
+     * draws). Storage is O(n): neighbors() and interferers() are windows
+     * of one 2n ring 0..n-1,0..n-1, read as [src+1, src+n), so they list
+     * every other node in ring order starting after @p src rather than
+     * ascending. The predicates are constant time and skip the path-loss
+     * law; every position is the origin, so distance() and rxPowerDbm()
+     * read as co-located nodes under the default config.
+     */
+    static SpatialModel fullMesh(unsigned n);
+
     unsigned numNodes() const
     {
         return static_cast<unsigned>(pos.size());
@@ -153,24 +166,32 @@ class SpatialModel
      */
     bool linkDelivers(unsigned src, unsigned dst, std::uint64_t tx_seq) const;
 
-    /** Nodes that can decode @p src (ascending index, src excluded). */
+    /** Nodes that can decode @p src (ascending index, src excluded;
+     *  ring order under fullMesh()). */
     std::span<const std::uint32_t>
     neighbors(unsigned src) const
     {
+        if (!ring.empty())
+            return {ring.data() + src + 1, numNodes() - 1};
         return {neighDat.data() + neighOff[src],
                 neighDat.data() + neighOff[src + 1]};
     }
 
     /** Nodes within interference (carrier-sense) reach of @p src
-     *  (ascending index, src excluded). Superset of neighbors(). */
+     *  (ascending index, src excluded; ring order under fullMesh()).
+     *  Superset of neighbors(). */
     std::span<const std::uint32_t>
     interferers(unsigned src) const
     {
+        if (!ring.empty())
+            return {ring.data() + src + 1, numNodes() - 1};
         return {intDat.data() + intOff[src],
                 intDat.data() + intOff[src + 1]};
     }
 
   private:
+    SpatialModel() = default;
+
     SpatialConfig cfg;
     std::vector<Position> pos;
     std::vector<unsigned> domain;
@@ -181,6 +202,8 @@ class SpatialModel
     /** CSR interference adjacency, same layout. */
     std::vector<std::uint32_t> intOff;
     std::vector<std::uint32_t> intDat;
+    /** fullMesh() only: 0..n-1 twice; empty for a geometric model. */
+    std::vector<std::uint32_t> ring;
     unsigned domains = 0;
 };
 

@@ -128,8 +128,8 @@ SpatialMedium::transmit(Transceiver *sender, const Frame &frame)
     const sim::Tick start = curTick();
     const sim::Tick end = start + frameAirTicks(frame);
 
-    FlightRecord record{start, end,           shard, nextLocalSeq++,
-                        src,   txSeq[src]++,  frame};
+    FlightRecord record{start, end,          nextLocalSeq++,
+                        src,   txSeq[src]++, frame};
 
     // Buffer for the coupled peers; the scheduler flushes the outbox
     // before every safe-tick publication, so the records are always
@@ -287,22 +287,29 @@ SpatialMedium::deliver(Delivery &delivery)
         ++auxEvents;
     }
 
+    // Sources of the flights that strictly overlap this one: the only
+    // candidates to corrupt it anywhere. Flights a receiver's callback
+    // starts below begin at rec.end, so they can never join this set.
+    std::vector<std::uint32_t> overlapping;
+    for (const Flight &g : window) {
+        if (g.srcNode == rec.srcNode && g.srcTxSeq == rec.srcTxSeq)
+            continue;
+        if (g.start < rec.end && rec.start < g.end)
+            overlapping.push_back(g.srcNode);
+    }
+
     // Deliver to every in-range receiver that lives on this shard, in
-    // ascending node order. Each receiver gets its own corruption
-    // verdict: a strictly overlapping flight corrupts here only if the
-    // receiver can hear it (or is itself its transmitter — half-duplex).
+    // neighbors() order. Each receiver gets its own corruption verdict:
+    // an overlapping flight corrupts here only if the receiver can hear
+    // it (or is itself its transmitter — half-duplex).
     for (unsigned r : model.neighbors(rec.srcNode)) {
         Transceiver *t = byNode[r];
         if (!t)
             continue;
 
         bool corrupted = false;
-        for (const Flight &g : window) {
-            if (g.srcNode == rec.srcNode && g.srcTxSeq == rec.srcTxSeq)
-                continue;
-            if (!(g.start < rec.end && rec.start < g.end))
-                continue;
-            if (g.srcNode == r || model.interferes(g.srcNode, r)) {
+        for (std::uint32_t src : overlapping) {
+            if (src == r || model.interferes(src, r)) {
                 corrupted = true;
                 break;
             }
@@ -326,8 +333,9 @@ SpatialMedium::deliver(Delivery &delivery)
 
     // Retire window intervals too old to overlap any pending or future
     // flight: everything still undelivered ends at or after curTick(),
-    // hence starts after curTick() - maxAirTicks. (ShardChannel retires
-    // in applyInbound, but the K=1 scheduler path never calls it.)
+    // hence starts after curTick() - maxAirTicks. (Retiring here rather
+    // than in applyInbound covers the K=1 scheduler path, which never
+    // calls it.)
     const sim::Tick now = curTick();
     if (now > maxAirTicks) {
         const sim::Tick horizon = now - maxAirTicks;

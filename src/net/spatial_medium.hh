@@ -1,19 +1,23 @@
 /**
  * @file
- * Spatial radio medium: the shard-local net::Medium of a positioned
- * network. Where net::Channel and net::ShardChannel model one flat
- * broadcast domain, SpatialMedium consults a shared net::SpatialModel for
- * every per-receiver question — who decodes this transmission, at what
- * loss probability, and whose concurrent transmissions corrupt it.
+ * Spatial radio medium: the shard-local net::Medium of the parallel
+ * kernel. Where net::Channel models flat broadcast domains on the
+ * single-threaded kernel, SpatialMedium consults a shared
+ * net::SpatialModel for every per-receiver question — who decodes this
+ * transmission, at what loss probability, and whose concurrent
+ * transmissions corrupt it. A positioned scenario supplies its
+ * log-distance model; a flat broadcast run at K>1 supplies
+ * SpatialModel::fullMesh(), where everyone hears and interferes with
+ * everyone, so there is one sharded medium for both radio models.
  *
- * It reuses the parallel kernel's relay machinery (net::FrameRelay
- * mailboxes, sim::ShardCoupling sync protocol) and ShardChannel's core
- * trick: collision/corruption are resolved lazily at delivery time as
- * pure functions of the transmission-interval multiset, so K-shard runs
- * produce statistics bit-identical to sequential ones. Unlike
- * ShardChannel it is used for *every* thread count, including K=1 (the
- * ParallelScheduler's single-shard path is a plain runUntil), so there is
- * exactly one spatial implementation to keep K-invariant.
+ * It couples shards through the relay machinery (net::FrameRelay
+ * mailboxes, sim::ShardCoupling sync protocol), and resolves
+ * collision/corruption lazily at delivery time as pure functions of the
+ * transmission-interval multiset, so K-shard runs produce statistics
+ * bit-identical to sequential ones. A spatial scenario uses it for
+ * *every* thread count, including K=1 (the ParallelScheduler's
+ * single-shard path is a plain runUntil), so there is exactly one
+ * spatial implementation to keep K-invariant.
  *
  * The K-invariant flight identity is (srcNode, srcTxSeq): a global node
  * index plus a per-source transmit counter kept here (a node lives on
@@ -37,10 +41,10 @@
  * Statistics carry the same names, descriptions and declaration order as
  * net::Channel so per-shard groups merge into byte-identical reports.
  *
- * Like ShardChannel, carrier sense for remote transmissions is applied
- * at sync points — deterministic for a fixed shard count but approximate
- * across shard counts; scenarios that need the K=1/2/4 identity gate
- * must keep the CSMA MAC off (macRetries = 0).
+ * Carrier sense for remote transmissions is applied at sync points —
+ * deterministic for a fixed shard count but approximate across shard
+ * counts; scenarios that need the K=1/2/4 identity gate must keep the
+ * CSMA MAC off (macRetries = 0).
  */
 
 #ifndef ULP_NET_SPATIAL_MEDIUM_HH
@@ -54,6 +58,7 @@
 #include <vector>
 
 #include "net/medium.hh"
+#include "net/pool.hh"
 #include "net/relay.hh"
 #include "net/spatial.hh"
 #include "sim/parallel.hh"
@@ -97,8 +102,6 @@ class SpatialMedium : public sim::SimObject,
     void syncDone(sim::Tick tick) override;
     void finalize(sim::Tick end) override;
 
-    const SpatialModel &spatialModel() const { return model; }
-
     std::uint64_t framesSent() const
     {
         return static_cast<std::uint64_t>(statFramesSent.value());
@@ -112,7 +115,12 @@ class SpatialMedium : public sim::SimObject,
         return static_cast<std::uint64_t>(statCollisions.value());
     }
 
-    /** Delivery events for remote flights (see ShardChannel). */
+    /**
+     * Delivery events processed for *remote* flights. The sequential
+     * kernel delivers each frame with a single event; a K-shard run uses
+     * one per coupled shard. Subtracting this from the summed
+     * EventQueue::numProcessed() recovers the logical event count.
+     */
     std::uint64_t auxiliaryEvents() const { return auxEvents; }
 
   private:

@@ -71,7 +71,7 @@ enum class Placement
 /** Radio propagation models. */
 enum class RadioModel
 {
-    Broadcast, ///< flat domain(s): net::Channel / net::ShardChannel
+    Broadcast, ///< flat domain(s): net::Channel; full mesh at K > 1
     Spatial,   ///< log-distance path loss: net::SpatialMedium
 };
 

@@ -159,8 +159,8 @@ struct NetworkSpec
     /**
      * When set, the network runs on net::SpatialMedium (log-distance
      * path loss over the NodeSpec positions) for every thread count;
-     * when empty, on the flat broadcast media (net::Channel /
-     * net::ShardChannel).
+     * when empty, on the flat broadcast medium: net::Channel at
+     * threads = 1, net::SpatialMedium over a full-mesh model at K > 1.
      */
     std::optional<net::SpatialConfig> spatial;
 

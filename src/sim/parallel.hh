@@ -53,7 +53,8 @@
  *
  * The cross-shard mechanics (what gets published, how inbound records are
  * applied, which ticks need a sync) live behind the ShardCoupling
- * interface, implemented by net::ShardChannel and net::SpatialMedium.
+ * interface, implemented by net::SpatialMedium (the one sharded radio
+ * medium, for spatial and K>1 broadcast runs alike).
  */
 
 #ifndef ULP_SIM_PARALLEL_HH

@@ -449,6 +449,14 @@ struct AluCase
     std::uint8_t a, b;
 };
 
+// CTest names each case after its printed value; without this printer gtest
+// dumps the raw bytes (the mnemonic's address and padding), which change from
+// build to build.
+void PrintTo(const AluCase &c, std::ostream *os)
+{
+    *os << sim::csprintf("%s_0x%02X_0x%02X", c.mnemonic, c.a, c.b);
+}
+
 class AluProperty : public ::testing::TestWithParam<AluCase>
 {};
 

@@ -2,16 +2,21 @@
  * @file
  * Tests of the 802.15.4 substrate: CRC-16 correctness, frame codec
  * round-trips (property-swept over payload sizes), corruption detection
- * (any flipped byte must fail the FCS), and the broadcast channel's
- * delivery, loss, and collision models.
+ * (any flipped byte must fail the FCS), the broadcast channel's
+ * delivery, loss, and collision models, and the spatial model's
+ * adjacency: the full mesh and the grid-bucketed CSR.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "net/channel.hh"
 #include "sim/logging.hh"
 #include "net/frame.hh"
 #include "net/packet_sink.hh"
+#include "net/spatial.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 
@@ -309,4 +314,106 @@ TEST(PacketSink, DeduplicatesAndCounts)
     EXPECT_EQ(sink.uniqueDeliveries(), 2u);
     EXPECT_EQ(sink.duplicates(), 1u);
     EXPECT_EQ(sink.deliveriesFrom(1), 2u);
+}
+
+TEST(SpatialModel, FullMeshEveryoneHearsEveryone)
+{
+    const unsigned n = 7;
+    const SpatialModel mesh = SpatialModel::fullMesh(n);
+    EXPECT_EQ(mesh.numNodes(), n);
+    EXPECT_EQ(mesh.numDomains(), 1u);
+    for (unsigned src = 0; src < n; ++src) {
+        EXPECT_EQ(mesh.domainOf(src), 0u);
+        for (auto list : {mesh.neighbors(src), mesh.interferers(src)}) {
+            // Every other node exactly once, never src itself.
+            std::vector<std::uint32_t> got(list.begin(), list.end());
+            std::sort(got.begin(), got.end());
+            std::vector<std::uint32_t> want;
+            for (unsigned b = 0; b < n; ++b)
+                if (b != src)
+                    want.push_back(b);
+            EXPECT_EQ(got, want) << "src " << src;
+        }
+        for (unsigned dst = 0; dst < n; ++dst) {
+            EXPECT_EQ(mesh.connected(src, dst), src != dst);
+            EXPECT_EQ(mesh.interferes(src, dst), src != dst);
+            if (src == dst)
+                continue;
+            EXPECT_EQ(mesh.deliveryProb(src, dst), 1.0);
+            for (std::uint64_t seq = 0; seq < 64; ++seq)
+                EXPECT_TRUE(mesh.linkDelivers(src, dst, seq));
+        }
+    }
+
+    // The 16-bit address ceiling builds in O(n) memory.
+    const SpatialModel big = SpatialModel::fullMesh(65'534);
+    EXPECT_EQ(big.numNodes(), 65'534u);
+    EXPECT_EQ(big.neighbors(65'533).size(), 65'533u);
+    EXPECT_EQ(big.neighbors(65'533).front(), 0u);
+    EXPECT_EQ(big.interferers(0).back(), 65'533u);
+
+    EXPECT_THROW(SpatialModel::fullMesh(0), sim::FatalError);
+}
+
+TEST(SpatialModel, GridBucketedCsrMatchesExhaustiveScan)
+{
+    // Seeded random placements at several densities: the grid-bucketed
+    // candidate scan must produce exactly the adjacency and domains of
+    // the O(N^2) scan over connected()/interferes().
+    sim::Random rng(7);
+    for (double side : {60.0, 250.0, 2000.0}) {
+        SpatialConfig cfg;
+        cfg.pathLossExponent = 2.8;
+        cfg.sensitivityDbm = -90.0;
+        std::vector<Position> pos(200);
+        for (Position &p : pos)
+            p = {side * rng.uniformReal(), side * rng.uniformReal()};
+        const SpatialModel model(cfg, pos);
+        const unsigned n = model.numNodes();
+
+        // Union-find over interferes() for the reference domains,
+        // densely numbered by smallest member like the model's.
+        std::vector<unsigned> parent(n);
+        for (unsigned i = 0; i < n; ++i)
+            parent[i] = i;
+        auto find = [&](unsigned a) {
+            while (parent[a] != a)
+                a = parent[a];
+            return a;
+        };
+        for (unsigned a = 0; a < n; ++a) {
+            std::vector<std::uint32_t> neigh, inter;
+            for (unsigned b = 0; b < n; ++b) {
+                if (model.connected(a, b))
+                    neigh.push_back(b);
+                if (model.interferes(a, b)) {
+                    inter.push_back(b);
+                    const unsigned ra = find(a), rb = find(b);
+                    if (ra != rb)
+                        parent[std::max(ra, rb)] = std::min(ra, rb);
+                }
+            }
+            const auto gotN = model.neighbors(a);
+            const auto gotI = model.interferers(a);
+            EXPECT_EQ(std::vector<std::uint32_t>(gotN.begin(), gotN.end()),
+                      neigh)
+                << "side " << side << " node " << a;
+            EXPECT_EQ(std::vector<std::uint32_t>(gotI.begin(), gotI.end()),
+                      inter)
+                << "side " << side << " node " << a;
+        }
+        std::vector<int> dense(n, -1);
+        unsigned domains = 0;
+        for (unsigned a = 0; a < n; ++a) {
+            const unsigned r = find(a);
+            if (dense[r] < 0)
+                dense[r] = static_cast<int>(domains++);
+            EXPECT_EQ(model.domainOf(a), static_cast<unsigned>(dense[r]))
+                << "side " << side << " node " << a;
+        }
+        EXPECT_EQ(model.numDomains(), domains) << "side " << side;
+        if (side > 1000.0) {
+            EXPECT_GT(domains, 1u); // the sparse field splits
+        }
+    }
 }

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/apps.hh"
@@ -220,6 +221,35 @@ TEST(ParallelNetwork, ChurnedNodesReviveOnTheirHomeShard)
     core::Network::Counters k4 = churn(4);
     EXPECT_GT(k1.framesSent, 0u);
     EXPECT_EQ(k1, k4);
+}
+
+TEST(ParallelNetwork, BroadcastChurnIdenticalAcrossThreadCounts)
+{
+    // Detach and re-bind on the sharded broadcast medium: nodes die
+    // mid-run (mid-flight frames and all) and two come back, on the
+    // near-saturation bench workload. Counters and the merged stats tree
+    // must match the sequential Channel byte for byte. Victims span the
+    // contiguous blocks, so at K=4 they sit on three different shards.
+    auto churn = [](unsigned threads) {
+        core::Network network(benchSpec(64, threads));
+        for (unsigned victim : {5u, 40u, 63u})
+            network.scheduleNodePowerOff(victim, sim::secondsToTicks(0.015));
+        for (unsigned victim : {5u, 40u})
+            network.scheduleNodeRevive(victim, sim::secondsToTicks(0.035));
+        network.runForSeconds(0.05);
+        std::ostringstream stats;
+        network.dumpStats(stats);
+        return std::make_pair(network.counters(), stats.str());
+    };
+    const auto k1 = churn(1);
+    const auto k2 = churn(2);
+    const auto k4 = churn(4);
+    EXPECT_GT(k1.first.framesSent, 0u);
+    EXPECT_GT(k1.first.collisions, 0u);
+    EXPECT_EQ(k1.first, k2.first);
+    EXPECT_EQ(k1.first, k4.first);
+    EXPECT_EQ(k1.second, k2.second);
+    EXPECT_EQ(k1.second, k4.second);
 }
 
 TEST(ParallelNetwork, SpecValidation)

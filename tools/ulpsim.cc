@@ -27,11 +27,9 @@
 #include <filesystem>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -252,21 +250,11 @@ validate(const Options &opt)
     usage(2);
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("cannot open '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
 /**
  * Execute a lowered scenario: build the network, wire the optional
- * fault campaign and telemetry trace, run, and report. One runner for
- * every scenario entry point (run, campaign workers).
+ * telemetry trace, radio loss and fault campaign, run, and report. The
+ * loss and fault wiring is campaign::wireScenarioRun, shared with the
+ * campaign workers.
  */
 int
 runScenario(const scenario::Scenario &sc, bool stats, bool power)
@@ -298,41 +286,8 @@ runScenario(const scenario::Scenario &sc, bool stats, bool power)
     // when every node's policy is none).
     sleep::SleepController sleepCtl(network);
 
-    if (low.broadcastLoss > 0.0) {
-        if (!network.broadcastChannel()) {
-            sim::fatal("[radio] loss needs the sequential broadcast "
-                       "channel: threads = 1 and model = broadcast (the "
-                       "spatial model has per-link loss instead)");
-        }
-        for (unsigned d = 0; net::Channel *ch = network.broadcastChannel(d);
-             ++d) {
-            ch->setLossProbability(low.broadcastLoss);
-        }
-    }
-
-    // The fault campaign attaches to one node's fabric (and, when
-    // available, the broadcast channel), on that node's shard.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (low.fault) {
-        const unsigned target = low.fault->node;
-        core::SensorNode &node = network.node(target);
-        injector = std::make_unique<fault::FaultInjector>(
-            network.shardSimulation(network.shardOf(target)), "fault",
-            sc.seed);
-        injector->attachSram(&node.memory());
-        injector->attachDevice("msgProc", &node.msgProc());
-        injector->attachDevice("compressor", &node.compressor());
-        if (net::Channel *ch = network.broadcastChannel())
-            injector->attachChannel(ch);
-        // node-fail / node-revive plan actions act on the target node.
-        injector->attachLifecycle([&network, target](bool up) {
-            if (up)
-                network.reviveNodeNow(target);
-            else
-                network.powerOffNodeNow(target);
-        });
-        injector->runText(readFile(low.fault->campaign));
-    }
+    const std::unique_ptr<fault::FaultInjector> injector =
+        campaign::wireScenarioRun(network, sc, low);
 
     // A [lifecycle] section hands the run loop to the resilience layer:
     // segmented execution with churn, repair and degradation metrics.
