@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace ulp::baseline {
 
@@ -45,8 +44,6 @@ Mica2Platform::Mica2Platform(sim::Simulation &simulation,
     });
     core.setMarkCallback([this](std::uint8_t id, std::uint64_t cycles) {
         marks[id].push_back(cycles);
-        ULP_TRACE("Mica2", this, "mark %u at %llu cycles", id,
-                  static_cast<unsigned long long>(cycles));
     });
 }
 

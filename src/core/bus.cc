@@ -2,7 +2,6 @@
 
 #include "sim/logging.hh"
 #include "sim/telemetry.hh"
-#include "sim/trace.hh"
 
 namespace ulp::core {
 
@@ -64,17 +63,13 @@ DataBus::read(map::Addr addr)
     BusSlave *slave = findSlave(addr);
     if (!slave) {
         ++statUnmapped;
-        ULP_TRACE("Bus", this, "read of unmapped address %#06x", addr);
         return 0xFF;
     }
     if (slave->busWedged()) {
         ++statWedged;
-        ULP_TRACE("Bus", this, "read  %#06x from wedged slave", addr);
         return 0xFF;
     }
-    std::uint8_t value = slave->busRead(addr - slave->addrRange().base);
-    ULP_TRACE("Bus", this, "read  %#06x -> %#04x", addr, value);
-    return value;
+    return slave->busRead(addr - slave->addrRange().base);
 }
 
 void
@@ -84,15 +79,12 @@ DataBus::write(map::Addr addr, std::uint8_t value)
     BusSlave *slave = findSlave(addr);
     if (!slave) {
         ++statUnmapped;
-        ULP_TRACE("Bus", this, "write of unmapped address %#06x", addr);
         return;
     }
     if (slave->busWedged()) {
         ++statWedged;
-        ULP_TRACE("Bus", this, "write %#06x to wedged slave dropped", addr);
         return;
     }
-    ULP_TRACE("Bus", this, "write %#06x <- %#04x", addr, value);
     slave->busWrite(addr - slave->addrRange().base, value);
 }
 

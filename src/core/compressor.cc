@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-#include "sim/trace.hh"
-
 namespace ulp::core {
 
 Compressor::Compressor(sim::Simulation &simulation, const std::string &name,
@@ -160,7 +157,6 @@ Compressor::startEncode()
                        timing.encodePerSample * stagedLen;
     beActiveFor(cost);
     eventq().reschedule(&doneEvent, curTick() + cyclesToTicks(cost));
-    ULP_TRACE("Comp", this, "encoding %u samples", stagedLen);
 }
 
 void
@@ -179,7 +175,6 @@ Compressor::finishEncode()
     done = true;
     stagedLen = 0;
     postIrq(Irq::CompDone);
-    ULP_TRACE("Comp", this, "encoded to %u bytes", encodedLen);
 }
 
 void

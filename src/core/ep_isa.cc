@@ -129,27 +129,4 @@ EpInstruction::decode(std::span<const std::uint8_t> bytes)
     return instr;
 }
 
-std::string
-EpInstruction::toString() const
-{
-    switch (opcode) {
-      case EpOpcode::SWITCHON:
-      case EpOpcode::SWITCHOFF:
-        return sim::csprintf("%s %u", epMnemonic(opcode), operand5);
-      case EpOpcode::TERMINATE:
-        return epMnemonic(opcode);
-      case EpOpcode::WAKEUP:
-        return sim::csprintf("WAKEUP %u", vector);
-      case EpOpcode::READ:
-      case EpOpcode::WRITE:
-        return sim::csprintf("%s %#06x", epMnemonic(opcode), addrA);
-      case EpOpcode::WRITEI:
-        return sim::csprintf("WRITEI %#06x, %u", addrA, operand5);
-      case EpOpcode::TRANSFER:
-        return sim::csprintf("TRANSFER %#06x, %#06x, %u", addrA, addrB,
-                             transferLength());
-    }
-    return "?";
-}
-
 } // namespace ulp::core

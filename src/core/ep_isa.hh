@@ -73,8 +73,6 @@ struct EpInstruction
      */
     static std::optional<EpInstruction>
     decode(std::span<const std::uint8_t> bytes);
-
-    std::string toString() const;
 };
 
 } // namespace ulp::core

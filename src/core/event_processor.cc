@@ -3,7 +3,6 @@
 #include "core/memory_map.hh"
 #include "sim/logging.hh"
 #include "sim/telemetry.hh"
-#include "sim/trace.hh"
 
 namespace ulp::core {
 
@@ -105,8 +104,6 @@ EventProcessor::beginService()
         map::isrTableBase + 2 * static_cast<unsigned>(servicing));
     pc = static_cast<std::uint16_t>((bus.read(entry) << 8) |
                                     bus.read(entry + 1));
-    ULP_TRACE("EP", this, "service %s -> ISR @%#06x", irqName(servicing),
-              pc);
     if (pc == 0x0000 || pc == 0xFFFF) {
         sim::warn("%s: no ISR bound for %s; event ignored", name().c_str(),
                   irqName(servicing));
@@ -175,8 +172,6 @@ EventProcessor::advance()
             sim::panic("%s: undecodable instruction at %#06x",
                        name().c_str(), pc);
         current = *decoded;
-        ULP_TRACE("EP", this, "fetched @%#06x: %s", pc,
-                  current.toString().c_str());
         setFsmState(State::Execute);
         consume(_timing.fetchPerWord * words);
         return;

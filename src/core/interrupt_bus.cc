@@ -3,7 +3,6 @@
 #include "fabric/event_port.hh"
 #include "sim/logging.hh"
 #include "sim/telemetry.hh"
-#include "sim/trace.hh"
 
 namespace ulp::core {
 
@@ -36,8 +35,6 @@ InterruptBus::post(Irq irq)
 
     if (asserted.test(code)) {
         ++statDropped;
-        ULP_TRACE("IrqBus", this, "dropped %s (already asserted)",
-                  irqName(irq));
         if (obs && obs->wants(sim::TelemetryChannel::Irq)) {
             obs->record(curTick(), obsId, sim::TelemetryChannel::Irq,
                         static_cast<std::uint8_t>(code), irqDrop,
@@ -47,7 +44,6 @@ InterruptBus::post(Irq irq)
     }
     asserted.set(code);
     ++statPosted;
-    ULP_TRACE("IrqBus", this, "posted %s", irqName(irq));
     if (obs && obs->wants(sim::TelemetryChannel::Irq)) {
         obs->record(curTick(), obsId, sim::TelemetryChannel::Irq,
                     static_cast<std::uint8_t>(code), irqPost,
@@ -76,7 +72,6 @@ InterruptBus::take()
     if (irq) {
         asserted.reset(static_cast<unsigned>(*irq));
         ++statTaken;
-        ULP_TRACE("IrqBus", this, "granted %s", irqName(*irq));
         if (obs && obs->wants(sim::TelemetryChannel::Irq)) {
             obs->record(curTick(), obsId, sim::TelemetryChannel::Irq,
                         static_cast<std::uint8_t>(*irq), irqDeliver,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace ulp::core {
 
@@ -165,8 +164,6 @@ MessageProcessor::startCommand(std::uint8_t cmd)
     status |= statusBusy;
     beActiveFor(cost);
     eventq().reschedule(&doneEvent, curTick() + cyclesToTicks(cost));
-    ULP_TRACE("MsgProc", this, "command %u started (%llu cycles)", cmd,
-              static_cast<unsigned long long>(cost));
 }
 
 void
@@ -192,8 +189,6 @@ MessageProcessor::finishPrepare()
     ++statPrepared;
     recordProbe(Probe::MsgPrepared);
     postIrq(Irq::MsgTxReady);
-    ULP_TRACE("MsgProc", this, "frame prepared: %u bytes, seq %u", outLen,
-              frame.seq);
 }
 
 bool
@@ -232,8 +227,6 @@ MessageProcessor::finishProcessRx()
     if (camLookupInsert(frame->src, frame->seq)) {
         ++statDuplicates;
         postIrq(Irq::MsgRxDrop);
-        ULP_TRACE("MsgProc", this, "duplicate (src %u seq %u) dropped",
-                  frame->src, frame->seq);
         return;
     }
 
@@ -248,9 +241,6 @@ MessageProcessor::finishProcessRx()
             status |= statusTxReady;
             ++statForwards;
             postIrq(Irq::MsgRxForward);
-            ULP_TRACE("MsgProc", this,
-                      "frame readdressed to %u for relay (src %u seq %u)",
-                      *next, frame->src, frame->seq);
             return;
         }
         ++statLocal;
@@ -273,8 +263,6 @@ MessageProcessor::finishProcessRx()
     status |= statusTxReady;
     ++statForwards;
     postIrq(Irq::MsgRxForward);
-    ULP_TRACE("MsgProc", this, "frame staged for forwarding (src %u seq %u)",
-              frame->src, frame->seq);
 }
 
 void

@@ -1,7 +1,5 @@
 #include "core/microcontroller.hh"
 
-#include "sim/trace.hh"
-
 namespace ulp::core {
 
 Microcontroller::Microcontroller(sim::Simulation &simulation,
@@ -56,7 +54,6 @@ Microcontroller::wake(std::uint16_t handler)
     core.reset(handler);
     core.setSp(stackTop);
     core.wakeAt(handler);
-    ULP_TRACE("Mcu", this, "woken at %#06x", handler);
 }
 
 void
@@ -77,7 +74,6 @@ Microcontroller::forceReset()
     core.stopClock();
     bus.setMcuHoldsBus(false);
     powerOff();
-    ULP_TRACE("Mcu", this, "force-reset; bus released");
     ep.busReleased();
 }
 
@@ -88,7 +84,6 @@ Microcontroller::wentToSleep()
         probes->record(Probe::McuSlept);
     bus.setMcuHoldsBus(false);
     powerOff();
-    ULP_TRACE("Mcu", this, "sleeping; bus released");
     ep.busReleased();
 }
 

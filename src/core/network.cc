@@ -7,6 +7,7 @@
 #include "core/partition.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
+#include "sim/telemetry.hh"
 
 namespace ulp::core {
 
@@ -327,6 +328,8 @@ Network::counters() const
         // after that, the other shards' copies would double-count.
         const bool countChannel = !statsMerged || s == 0;
         c.eventsProcessed += shard.simulation->eventq().numProcessed();
+        if (const sim::TelemetrySink *sink = shard.simulation->telemetry())
+            c.eventsProcessed -= sink->samplerEvents();
         if (shard.spatialMedium) {
             c.eventsProcessed -= shard.spatialMedium->auxiliaryEvents();
             if (countChannel) {

@@ -59,7 +59,9 @@ class Network
     struct Counters
     {
         /** Logical events: the parallel kernel's auxiliary cross-shard
-         *  delivery copies are subtracted out. */
+         *  delivery copies and the telemetry energy samplers' fires are
+         *  subtracted out, so the count is the same at every K and with
+         *  tracing on or off. */
         std::uint64_t eventsProcessed = 0;
         std::uint64_t framesSent = 0;
         std::uint64_t framesDelivered = 0;

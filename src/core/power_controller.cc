@@ -1,7 +1,6 @@
 #include "core/power_controller.hh"
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace ulp::core {
 
@@ -49,8 +48,6 @@ PowerController::switchOn(ComponentId id)
         return curTick();
     }
     sim::Tick latency = comp->powerOn();
-    ULP_TRACE("Power", this, "SWITCHON %s, ack in %llu ticks",
-              componentName(id), static_cast<unsigned long long>(latency));
     return curTick() + latency;
 }
 
@@ -65,7 +62,6 @@ PowerController::switchOff(ComponentId id)
         ++statRedundantOps;
         return;
     }
-    ULP_TRACE("Power", this, "SWITCHOFF %s", componentName(id));
     comp->powerOff();
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace ulp::core {
 
@@ -271,8 +270,6 @@ RadioDevice::startTx()
     }
     beActiveFor(clock.ticksToCycles(end - curTick()) + 1);
     eventq().schedule(&txDoneEvent, end);
-    ULP_TRACE("Radio", this, "TX started: %zu bytes, seq %u",
-              frame->sizeBytes(), frame->seq);
 }
 
 void
@@ -282,7 +279,6 @@ RadioDevice::txDone()
     ++statTx;
     recordProbe(Probe::RadioTxDone);
     postIrq(Irq::RadioTxDone);
-    ULP_TRACE("Radio", this, "TX done");
 }
 
 // --- acknowledged-transmission MAC ----------------------------------------
@@ -295,8 +291,6 @@ RadioDevice::macStartTx(const net::Frame &frame)
     macActive = true;
     macRetries = 0;
     macBe = macMinBE;
-    ULP_TRACE("Radio", this, "MAC TX: seq %u dest %u, budget %u retries",
-              frame.seq, frame.dest, macMaxRetries());
     macCsmaBegin();
 }
 
@@ -423,8 +417,6 @@ RadioDevice::macRetryOrFail()
         ++statRetransmissions;
         recordProbe(Probe::RadioRetry);
         macBe = std::min(macBe + 1, macMaxBE);
-        ULP_TRACE("Radio", this, "MAC retry %u/%u seq %u", macRetries,
-                  macMaxRetries(), pendingTx.seq);
         macCsmaBegin();
         return;
     }
@@ -441,13 +433,9 @@ RadioDevice::macFinish(bool success)
         ++statTx;
         recordProbe(Probe::RadioTxDone);
         postIrq(Irq::RadioTxDone);
-        ULP_TRACE("Radio", this, "MAC TX done: seq %u acked",
-                  pendingTx.seq);
     } else {
         ++statTxFailures;
         postIrq(Irq::RadioTxFail);
-        ULP_TRACE("Radio", this, "MAC TX failed: seq %u, %u retries spent",
-                  pendingTx.seq, macRetries);
     }
 }
 
@@ -471,8 +459,6 @@ RadioDevice::macSendAck()
     eventq().schedule(&macAckAirEndEvent, end);
     ++statAcksSent;
     recordProbe(Probe::RadioAckSent);
-    ULP_TRACE("Radio", this, "auto-ACK: seq %u -> %u", ackTx.seq,
-              ackTx.dest);
 }
 
 void
@@ -550,11 +536,9 @@ RadioDevice::beaconTx()
         }
     }
 
-    if (txBusy || macActive) {
-        // Radio busy at the beacon point (a CAP transaction spilled
-        // over): skip this beacon but hold the grid.
-        ULP_TRACE("Radio", this, "beacon skipped: transmitter busy");
-    } else {
+    // A radio still busy at the beacon point (a CAP transaction spilled
+    // over) skips this beacon but holds the grid.
+    if (!txBusy && !macActive) {
         net::Frame beacon;
         beacon.type = net::Frame::Type::Beacon;
         beacon.seq = beaconSeq++;
@@ -577,9 +561,6 @@ RadioDevice::beaconTx()
         eventq().schedule(&beaconAirEndEvent, end);
         ++statBeaconsSent;
         recordProbe(Probe::BeaconTx);
-        ULP_TRACE("Radio", this, "beacon %u: BO %u SO %u, %zu pending",
-                  beacon.seq, beaconOrderReg, sfOrderReg,
-                  pendingIndirect.size());
     }
 
     lastBeaconAt = curTick();
@@ -697,8 +678,6 @@ RadioDevice::beaconMissed()
 {
     ++statBeaconsMissed;
     recordProbe(Probe::BeaconMiss);
-    ULP_TRACE("Radio", this, "beacon missed (%u consecutive)",
-              lostBeacons + 1);
     if (++lostBeacons >= maxLostBeacons) {
         // Sync loss: stay awake in RX and hunt for a beacon. With no
         // CAP to honour, a parked transmission goes out unsynchronized.
@@ -730,7 +709,6 @@ RadioDevice::macTrySleep()
     recordProbe(Probe::MacSleep);
     recordSleepState(sim::SleepCode::MacSleep, sim::SleepCode::Awake);
     tracker.setState(power::PowerState::Gated);
-    ULP_TRACE("Radio", this, "MAC sleep until next superframe");
 }
 
 void
@@ -769,14 +747,10 @@ RadioDevice::queueIndirect(const net::Frame &frame)
     if (pendingIndirect.size() >= pendingIndirectCap) {
         ++statIndirectDropped;
         postIrq(Irq::RadioTxFail);
-        ULP_TRACE("Radio", this,
-                  "indirect queue full: seq %u dropped", frame.seq);
         return;
     }
     pendingIndirect.push_back({frame, indirectExpiryBeacons});
     ++statIndirectQueued;
-    ULP_TRACE("Radio", this, "indirect queued: seq %u for %u", frame.seq,
-              frame.dest);
 }
 
 void
@@ -824,7 +798,6 @@ RadioDevice::indirectAirEnd()
     ++statIndirectDelivered;
     recordProbe(Probe::RadioTxDone);
     postIrq(Irq::RadioTxDone);
-    ULP_TRACE("Radio", this, "indirect delivered: seq %u", indirectTx.seq);
 }
 
 void
@@ -949,8 +922,6 @@ RadioDevice::injectFrame(const net::Frame &frame)
         rxWakeHook();
     recordProbe(Probe::RadioRxDone);
     postIrq(Irq::RadioRxDone);
-    ULP_TRACE("Radio", this, "RX frame: %zu bytes, seq %u src %u",
-              wire.size(), frame.seq, frame.src);
 }
 
 void

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/trace.hh"
-
 namespace ulp::core {
 
 SensorAdc::SensorAdc(sim::Simulation &simulation, const std::string &name,
@@ -67,7 +65,6 @@ SensorAdc::busWrite(map::Addr offset, std::uint8_t value)
         eventq().reschedule(&doneEvent,
                             curTick() +
                                 cyclesToTicks(defaultAcquireCycles));
-        ULP_TRACE("Sensor", this, "acquisition started");
     }
 }
 
@@ -78,7 +75,6 @@ SensorAdc::acquisitionDone()
     done = true;
     held = convert();
     raiseEvent(Irq::AdcDone, held);
-    ULP_TRACE("Sensor", this, "acquisition done: %u", held);
 }
 
 void

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/trace.hh"
-
 namespace ulp::core {
 
 SlaveDevice::SlaveDevice(sim::Simulation &simulation, const std::string &name,
@@ -71,8 +69,6 @@ SlaveDevice::injectWedge(sim::Tick duration)
     } else {
         wedgedUntil = std::max(wedgedUntil, curTick() + duration);
     }
-    ULP_TRACE("Fault", this, "wedged%s",
-              duration == 0 ? " (latched)" : "");
 }
 
 void

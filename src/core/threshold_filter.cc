@@ -1,7 +1,5 @@
 #include "core/threshold_filter.hh"
 
-#include "sim/trace.hh"
-
 namespace ulp::core {
 
 ThresholdFilter::ThresholdFilter(sim::Simulation &simulation,
@@ -71,8 +69,6 @@ ThresholdFilter::decide()
     if (pass)
         ++statPasses;
     recordProbe(Probe::FilterDecision);
-    ULP_TRACE("Filter", this, "datum %u %s threshold %u", datum,
-              pass ? ">=" : "<", thresh);
     if (ctrl & ctrlIrqMode)
         raiseEvent(pass ? Irq::FilterPass : Irq::FilterFail, datum);
 }

@@ -1,8 +1,5 @@
 #include "core/timer_unit.hh"
 
-#include "sim/logging.hh"
-#include "sim/trace.hh"
-
 namespace ulp::core {
 
 TimerUnit::TimerUnit(sim::Simulation &simulation, const std::string &name,
@@ -158,15 +155,11 @@ TimerUnit::writeCtrl(unsigned idx, std::uint8_t value)
                                     : power::PowerState::Active);
         if (!(timer.ctrl & ctrlChain))
             startCountdown(idx);
-        ULP_TRACE("Timer", this, "timer %u enabled (load %u%s%s)", idx,
-                  timer.load, (timer.ctrl & ctrlReload) ? ", reload" : "",
-                  (timer.ctrl & ctrlChain) ? ", chained" : "");
     } else if (was_running && !now_running) {
         // Pause: remember the remaining count.
         timer.count = timerCount(idx);
         stopCountdown(idx);
         timer.tracker->setState(power::PowerState::Idle);
-        ULP_TRACE("Timer", this, "timer %u paused at %u", idx, timer.count);
     }
 }
 
@@ -195,7 +188,6 @@ TimerUnit::fire(unsigned idx)
     ++statAlarms;
     postIrq(static_cast<Irq>(static_cast<unsigned>(Irq::Timer0) + idx));
     recordProbe(Probe::TimerAlarm);
-    ULP_TRACE("Timer", this, "timer %u alarm", idx);
 
     if (idx + 1 < numTimers)
         predecessorFired(idx + 1);
@@ -286,14 +278,10 @@ TimerUnit::wdtWrite(map::Addr offset, std::uint8_t value)
         bool was_enabled = watchdogEnabled();
         wdtCtrlReg = value & wdtEnable;
         ++statReconfigs;
-        if (!was_enabled && watchdogEnabled()) {
+        if (!was_enabled && watchdogEnabled())
             wdtRestart();
-            ULP_TRACE("Timer", this, "watchdog armed (%u x %u cycles)",
-                      wdtLoad, wdtUnitCycles);
-        } else if (was_enabled && !watchdogEnabled()) {
+        else if (was_enabled && !watchdogEnabled())
             wdtStop();
-            ULP_TRACE("Timer", this, "watchdog disarmed");
-        }
         break;
       }
       case map::wdtLoadHi:
@@ -336,7 +324,6 @@ TimerUnit::wdtBark()
 {
     ++statWatchdogBarks;
     recordProbe(Probe::WatchdogBark);
-    ULP_TRACE("Timer", this, "watchdog bark");
     // Reset the hung master first so it releases the bus, then post the
     // interrupt that lets recovery firmware run.
     if (wdtResetHook)

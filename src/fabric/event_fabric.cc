@@ -6,7 +6,6 @@
 #include "core/timer_unit.hh"
 #include "sim/logging.hh"
 #include "sim/telemetry.hh"
-#include "sim/trace.hh"
 
 namespace ulp::fabric {
 
@@ -115,7 +114,6 @@ EventFabric::configure(const std::vector<Link> &links, std::uint8_t thresh)
         }
         routes[code] = Route{link.sink, link.source};
         ++linkCount;
-        ULP_TRACE("Fabric", this, "armed %s", linkName(link).c_str());
     }
     // An armed fabric draws idle power; an empty CAM is free (so legacy
     // scenarios see a byte-identical energy ledger).
@@ -182,12 +180,6 @@ EventFabric::deliver(const Event &event, const Route &route)
         recordFabric(event, route.sink, kind);
         beActiveFor(cycles, extra);
     };
-    auto busyDrop = [&] {
-        ULP_TRACE("Fabric", this, "%s: sink busy, event dropped",
-                  sourceName(route.source));
-        finish(fabricSinkBusy, statSinkBusy);
-    };
-
     // The EP ISRs' trailing SWITCHOFF of the producing accelerator moves
     // into the fabric: the datum travelled with the event, so the
     // producer is retired before the sink action runs.
@@ -196,8 +188,6 @@ EventFabric::deliver(const Event &event, const Route &route)
 
     if (sourceThresholdGated(route.source) && event.hasDatum &&
         event.datum < threshold) {
-        ULP_TRACE("Fabric", this, "%s: datum %u below threshold %u",
-                  sourceName(route.source), event.datum, threshold);
         finish(fabricFiltered, statFiltered);
         return;
     }
@@ -206,7 +196,7 @@ EventFabric::deliver(const Event &event, const Route &route)
       case Sink::AdcSample:
         on(ComponentId::Sensor);
         if (rd(map::sensorBase + map::sensorCtrl) & 1) {
-            busyDrop();
+            finish(fabricSinkBusy, statSinkBusy);
             return;
         }
         wr(map::sensorBase + map::sensorCtrl, 1);
@@ -215,7 +205,7 @@ EventFabric::deliver(const Event &event, const Route &route)
       case Sink::MsgProcTx:
         on(ComponentId::MsgProc);
         if (rd(map::msgBase + map::msgStatus) & MessageProcessor::statusBusy) {
-            busyDrop();
+            finish(fabricSinkBusy, statSinkBusy);
             return;
         }
         wr(map::msgBase + map::msgPayload, event.datum);
@@ -226,7 +216,7 @@ EventFabric::deliver(const Event &event, const Route &route)
       case Sink::RadioTx: {
         on(ComponentId::Radio);
         if (rd(map::radioBase + map::radioStatus) & RadioDevice::statusTxBusy) {
-            busyDrop();
+            finish(fabricSinkBusy, statSinkBusy);
             return;
         }
         std::uint8_t len = rd(map::msgBase + map::msgOutLen);
@@ -284,9 +274,6 @@ EventFabric::deliver(const Event &event, const Route &route)
         break;
     }
 
-    ULP_TRACE("Fabric", this, "linked %s (%llu cycles)",
-              linkName({route.source, route.sink}).c_str(),
-              static_cast<unsigned long long>(cycles));
     finish(fabricLinked, statLinked);
 }
 

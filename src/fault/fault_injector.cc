@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace ulp::fault {
 
@@ -180,8 +179,6 @@ FaultInjector::apply(const Action &action)
                        name().c_str());
         channel->setGilbertElliott({action.a, action.b, action.c, action.d});
         ++statChannelFaults;
-        ULP_TRACE("Fault", this, "GE model on: pGB %.3f pBG %.3f", action.a,
-                  action.b);
         break;
       case Action::Kind::ChannelGeOff:
         if (!channel)
@@ -247,9 +244,6 @@ FaultInjector::apply(const Action &action)
                        name().c_str());
         lifecycle(action.kind == Action::Kind::NodeRevive);
         ++statLifecycle;
-        ULP_TRACE("Fault", this, "node %s",
-                  action.kind == Action::Kind::NodeRevive ? "revive"
-                                                          : "fail");
         break;
     }
 }

@@ -1,7 +1,6 @@
 #include "mcu/mcu.hh"
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace ulp::mcu {
 
@@ -118,7 +117,6 @@ Mcu::enterIrq(std::uint8_t vector)
     _pc = static_cast<std::uint16_t>(bus.read(entry) << 8) |
           bus.read(entry + 1);
     ++statIrqsTaken;
-    ULP_TRACE("Mcu", this, "take irq %u -> %#06x", vector, _pc);
 }
 
 void

@@ -1,7 +1,6 @@
 #include "memory/sram.hh"
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace ulp::memory {
 
@@ -71,14 +70,10 @@ Sram::checkAccessible(unsigned bank_idx)
     Bank &bank = banks[bank_idx];
     if (bank.gated) {
         ++statGatedAccesses;
-        ULP_TRACE("Sram", this, "access to gated bank %u", bank_idx);
         return false;
     }
     if (curTick() < bank.readyAt) {
         ++statNotReadyAccesses;
-        ULP_TRACE("Sram", this, "access to waking bank %u (%llu < %llu)",
-                  bank_idx, static_cast<unsigned long long>(curTick()),
-                  static_cast<unsigned long long>(bank.readyAt));
         return false;
     }
     return true;
@@ -146,7 +141,6 @@ Sram::flipBit(std::uint16_t addr, unsigned bit)
         return false;
     cell(addr) ^= static_cast<std::uint8_t>(1u << (bit & 7));
     ++statBitFlips;
-    ULP_TRACE("Sram", this, "bit flip at %#06x bit %u", addr, bit & 7);
     return true;
 }
 
@@ -165,7 +159,6 @@ Sram::gateBank(unsigned bank_idx)
     std::uint32_t base = bank_idx * config.bankBytes;
     for (std::uint32_t i = 0; i < config.bankBytes; ++i)
         data[base + i] = 0xFF;
-    ULP_TRACE("Sram", this, "bank %u gated", bank_idx);
 }
 
 void
@@ -180,8 +173,6 @@ Sram::ungateBank(unsigned bank_idx)
     bank.gated = false;
     bank.readyAt = curTick() +
                    sim::secondsToTicks(config.power.wakeupSeconds);
-    ULP_TRACE("Sram", this, "bank %u ungated, ready at %llu", bank_idx,
-              static_cast<unsigned long long>(bank.readyAt));
 }
 
 void

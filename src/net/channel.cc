@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace ulp::net {
 
@@ -107,8 +106,6 @@ Channel::transmit(Transceiver *sender, const Frame &frame)
         flight->corrupted = true;
         for (auto &other : inFlight)
             other->corrupted = true;
-        ULP_TRACE("Channel", this, "collision: %u transmissions overlap",
-                  activeTransmissions + 1);
     }
 
     InFlight *raw = flight.get();

@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace ulp::net {
 
@@ -278,11 +277,8 @@ SpatialMedium::deliver(Delivery &delivery)
     const FlightRecord &rec = delivery.rec;
 
     if (delivery.local) {
-        if (!delivery.counted && collidesAtStart(rec)) {
+        if (!delivery.counted && collidesAtStart(rec))
             ++statCollisions;
-            ULP_TRACE("Channel", this, "collision at tick %llu",
-                      (unsigned long long)rec.start);
-        }
     } else {
         ++auxEvents;
     }

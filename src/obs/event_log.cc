@@ -180,6 +180,7 @@ EventLog::attachSampler(unsigned shard, sim::Simulation &simulation)
     const sim::Tick period = config.energySamplePeriod;
     auto *raw = new sim::EventFunctionWrapper(
         [&log, period] {
+            ++log.samplerFires;
             const sim::Tick now = log.simulation->curTick();
             for (ShardLog::EnergyProbe &probe : log.energyProbes) {
                 // Emit only when the tracker's accrual *rate* changed

@@ -135,8 +135,13 @@ class TelemetrySink
         return channelMask >> static_cast<unsigned>(channel) & 1u;
     }
 
+    /** Sampler events run on the owning shard's queue: kernel work the
+     *  model did not ask for. */
+    std::uint64_t samplerEvents() const { return samplerFires; }
+
   protected:
     std::uint32_t channelMask = allTelemetryChannels;
+    std::uint64_t samplerFires = 0;
 };
 
 } // namespace ulp::sim

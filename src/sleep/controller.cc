@@ -40,6 +40,15 @@ SleepController::SleepController(core::Network &net) : network(net)
     }
 }
 
+std::uint64_t
+SleepController::sum(std::uint64_t NodeState::*counter) const
+{
+    std::uint64_t total = 0;
+    for (const auto &st : states)
+        total += (*st).*counter;
+    return total;
+}
+
 sim::EventQueue &
 SleepController::queueOf(const NodeState &st)
 {
@@ -76,10 +85,10 @@ SleepController::tick(NodeState &st)
         if (node.alive() && !node.inDeepSleep()) {
             if (st.policy == Policy::Deep) {
                 node.deepSleepEnter();
-                ++deepSleeps_;
+                ++st.deepSleeps;
             } else if (!node.inLightSleep()) {
                 node.lightSleepEnter();
-                ++lightSleeps_;
+                ++st.lightSleeps;
             }
         }
         next = (k + 1) * st.periodTicks;
@@ -94,7 +103,7 @@ SleepController::frameWake(NodeState &st)
     if (!node.inLightSleep())
         return;
     node.lightSleepExit();
-    ++frameWakes_;
+    ++st.frameWakes;
     // Stay awake through the end of the *next* on-window: the next
     // boundary strictly after now at which tick() decides to sleep.
     const sim::Tick now = nowOf(st);

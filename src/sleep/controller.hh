@@ -15,7 +15,9 @@
  * Determinism: every scheduled tick is k*period or k*period+on — pure
  * functions of scenario constants — and all transitions run on the
  * owning shard, so the schedule is K-invariant by construction and the
- * K=1 stats oracle holds for any thread count.
+ * K=1 stats oracle holds for any thread count. The transition counters
+ * live in each node's own state for the same reason: only the owning
+ * shard's worker writes them.
  */
 
 #ifndef ULP_SLEEP_CONTROLLER_HH
@@ -46,9 +48,10 @@ class SleepController
         return static_cast<unsigned>(states.size());
     }
 
-    std::uint64_t lightSleeps() const { return lightSleeps_; }
-    std::uint64_t deepSleeps() const { return deepSleeps_; }
-    std::uint64_t frameWakes() const { return frameWakes_; }
+    /** Transition totals over every managed node. */
+    std::uint64_t lightSleeps() const { return sum(&NodeState::lightSleeps); }
+    std::uint64_t deepSleeps() const { return sum(&NodeState::deepSleeps); }
+    std::uint64_t frameWakes() const { return sum(&NodeState::frameWakes); }
 
   private:
     struct NodeState
@@ -58,7 +61,14 @@ class SleepController
         sim::Tick periodTicks = 0;
         sim::Tick onTicks = 0;
         std::unique_ptr<sim::EventFunctionWrapper> event;
+        /** Written only by the owning shard's worker, so the totals are
+         *  K-invariant. */
+        std::uint64_t lightSleeps = 0;
+        std::uint64_t deepSleeps = 0;
+        std::uint64_t frameWakes = 0;
     };
+
+    std::uint64_t sum(std::uint64_t NodeState::*counter) const;
 
     void tick(NodeState &st);
     void frameWake(NodeState &st);
@@ -67,9 +77,6 @@ class SleepController
 
     core::Network &network;
     std::vector<std::unique_ptr<NodeState>> states;
-    std::uint64_t lightSleeps_ = 0;
-    std::uint64_t deepSleeps_ = 0;
-    std::uint64_t frameWakes_ = 0;
 };
 
 } // namespace ulp::sleep

@@ -5,13 +5,15 @@
  * 64-node network is byte-identical whether the simulation ran on 1, 2
  * or 4 shards. Also covers the exporters (validated with the in-tree
  * VCD parser and JSON checker), ring-overflow drop accounting, channel
- * list parsing, and the energy totals of sharded vs sequential runs.
+ * list parsing, the energy totals of sharded vs sequential runs, and the
+ * logical event count, which the energy samplers must not inflate.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -272,5 +274,48 @@ TEST(ObsEnergy, ShardedEnergyTotalsMatchSequentialBitwise)
         }
         EXPECT_EQ(seq.node(i).totalAverageWatts(),
                   par.node(i).totalAverageWatts());
+    }
+}
+
+namespace {
+
+/** Logical event count of a 16-node oracle run, traced or untraced. */
+std::uint64_t
+oracleEventsProcessed(unsigned threads, bool traced)
+{
+    scenario::NetworkSpec spec = oracleSpec(16, threads);
+    std::unique_ptr<obs::EventLog> log;
+    if (traced) {
+        obs::EventLogConfig ecfg;
+        ecfg.dir = freshDir("obs_events_k" + std::to_string(threads));
+        log = std::make_unique<obs::EventLog>(ecfg, threads);
+        spec.telemetrySink = [&log](unsigned s) { return &log->sink(s); };
+    }
+    core::Network network(spec);
+    if (log) {
+        for (unsigned s = 0; s < threads; ++s)
+            log->attachSampler(s, network.shardSimulation(s));
+    }
+    network.runForSeconds(0.05);
+    if (log) {
+        log->finish();
+        // The samplers ran, so the subtraction below is exercised.
+        for (unsigned s = 0; s < threads; ++s)
+            EXPECT_GT(log->sink(s).samplerEvents(), 0u) << "shard " << s;
+    }
+    return network.counters().eventsProcessed;
+}
+
+} // namespace
+
+TEST(ObsCounters, EventsProcessedExcludesEnergySamplerFires)
+{
+    const std::uint64_t untraced = oracleEventsProcessed(1, false);
+    EXPECT_GT(untraced, 0u);
+    for (unsigned threads : {1u, 2u, 4u}) {
+        EXPECT_EQ(oracleEventsProcessed(threads, false), untraced)
+            << "untraced, threads=" << threads;
+        EXPECT_EQ(oracleEventsProcessed(threads, true), untraced)
+            << "traced, threads=" << threads;
     }
 }

@@ -16,7 +16,6 @@
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
-#include "sim/trace.hh"
 
 using namespace ulp::sim;
 
@@ -270,30 +269,6 @@ TEST(Logging, CsprintfFormats)
 {
     EXPECT_EQ(csprintf("%s-%04x", "ab", 0xBEEF), "ab-beef");
     EXPECT_EQ(csprintf("plain"), "plain");
-}
-
-TEST(Trace, EnableDisable)
-{
-    Trace::clear();
-    EXPECT_FALSE(Trace::enabled("EP"));
-    Trace::enable("EP");
-    EXPECT_TRUE(Trace::enabled("EP"));
-    EXPECT_FALSE(Trace::enabled("Bus"));
-    Trace::enable("All");
-    EXPECT_TRUE(Trace::enabled("Bus"));
-    Trace::clear();
-    EXPECT_FALSE(Trace::anyEnabled());
-}
-
-TEST(Trace, EnableFromCommaList)
-{
-    Trace::clear();
-    Trace::enableFromString("EP,Bus,,Timer");
-    EXPECT_TRUE(Trace::enabled("EP"));
-    EXPECT_TRUE(Trace::enabled("Bus"));
-    EXPECT_TRUE(Trace::enabled("Timer"));
-    EXPECT_FALSE(Trace::enabled("Radio"));
-    Trace::clear();
 }
 
 TEST(Random, DeterministicPerSeed)

@@ -14,7 +14,7 @@
  *    multi-hop relays flowing beyond coordinator range
  *  - deep sleep: sub-duty energy profile, DeepSleepTimer reset reason
  *  - the K = 1/2/4 byte-identical stats oracle on a beacon-enabled
- *    duty-cycled grid
+ *    duty-cycled grid, and K-invariant sleep-controller transition counts
  */
 
 #include <gtest/gtest.h>
@@ -616,6 +616,83 @@ TEST(LightSleep, IncomingFrameWakesTheSink)
     core::SensorNode &sink = network.node(1);
     EXPECT_GT(sink.probes().count(core::Probe::LightSleepEnter), 0u);
     EXPECT_FALSE(sink.msgProc().localDeliveriesBySource().empty());
+    sim::setQuiet(false);
+}
+
+namespace {
+
+/** A 16-node spatial grid routing to the exempt corner sink; every other
+ *  node runs @p policy's 20% duty cycle, 100 periods in all. */
+Scenario
+dutyGridScenario(ulp::sleep::Policy policy, unsigned threads)
+{
+    Scenario sc;
+    sc.name = "duty-grid";
+    sc.seconds = 2.0;
+    sc.seed = 7;
+    sc.threads = threads;
+    sc.nodes.count = 16;
+    sc.nodes.app = "app3";
+    sc.nodes.period = 2000;
+    sc.nodes.placement = Placement::Grid;
+    sc.nodes.spacing = 40.0;
+    sc.radio.model = RadioModel::Spatial;
+    sc.radio.spatial.pathLossExponent = 2.8;
+    sc.radio.spatial.sensitivityDbm = -90.0;
+    sc.routes.sink = 0;
+    sc.sleep.emplace();
+    sc.sleep->policy = policy;
+    sc.sleep->period = 0.02;
+    sc.sleep->on = 0.004;
+    return sc;
+}
+
+struct SleepTotals
+{
+    std::uint64_t light = 0;
+    std::uint64_t deep = 0;
+    std::uint64_t wakes = 0;
+
+    bool operator==(const SleepTotals &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const SleepTotals &t)
+{
+    return os << "light " << t.light << ", deep " << t.deep << ", wakes "
+              << t.wakes;
+}
+
+SleepTotals
+runSleepTotals(const Scenario &sc)
+{
+    scenario::Lowered low = scenario::lower(sc);
+    core::Network network(low.spec);
+    ulp::sleep::SleepController sleepCtl(network);
+    network.runForSeconds(low.seconds);
+    return {sleepCtl.lightSleeps(), sleepCtl.deepSleeps(),
+            sleepCtl.frameWakes()};
+}
+
+} // namespace
+
+TEST(SleepController, TransitionCountsAreThreadCountInvariant)
+{
+    sim::setQuiet(true);
+    for (ulp::sleep::Policy policy :
+         {ulp::sleep::Policy::Light, ulp::sleep::Policy::Deep}) {
+        const SleepTotals k1 = runSleepTotals(dutyGridScenario(policy, 1));
+        // 15 duty-cycled nodes, all phase-aligned: the shard workers
+        // count their transitions at the same ticks.
+        if (policy == ulp::sleep::Policy::Light)
+            EXPECT_GE(k1.light, 15u);
+        else
+            EXPECT_GE(k1.deep, 15u);
+        for (unsigned threads : {2u, 4u}) {
+            EXPECT_EQ(runSleepTotals(dutyGridScenario(policy, threads)), k1)
+                << "threads=" << threads;
+        }
+    }
     sim::setQuiet(false);
 }
 

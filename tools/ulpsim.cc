@@ -51,7 +51,6 @@
 #include "scenario/scenario.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
-#include "sim/trace.hh"
 #include "sleep/controller.hh"
 
 using namespace ulp;
@@ -74,7 +73,6 @@ struct Options
     std::uint64_t seed = 1;
     bool stats = false;
     bool power = false;
-    std::string trace;
     std::string traceOut;
     std::string traceChannels = "all";
     double traceEnergyPeriod = 0.0; ///< 0 = scenario / built-in default
@@ -99,7 +97,7 @@ usage(int code)
         "\n"
         "run overrides:\n"
         "  --threads=K --seconds=S --seed=N --stats --power\n"
-        "  --trace=FLAGS --trace-out=DIR --trace-channels=LIST\n"
+        "  --trace-out=DIR --trace-channels=LIST\n"
         "  --trace-energy-period=S   energy sampler period in seconds\n"
         "\n"
         "campaign run/resume options:\n"
@@ -124,8 +122,6 @@ usage(int code)
         "  --seed=N                deterministic seed\n"
         "  --power                 print the power breakdown\n"
         "  --stats                 dump the full statistics tree\n"
-        "  --trace=FLAGS           comma-separated trace categories "
-        "(EP,Bus,IrqBus,Timer,MsgProc,Radio,Mcu,Sram,Power,All)\n"
         "  --help\n"
         "\n"
         "trace channels for --trace-channels: %s or all\n"
@@ -182,8 +178,6 @@ parse(int argc, char **argv, int first, std::vector<std::string> *positional)
             opt.traceChannels = v;
         } else if (const char *v = value("--trace-energy-period")) {
             opt.traceEnergyPeriod = std::strtod(v, nullptr);
-        } else if (const char *v = value("--trace")) {
-            opt.trace = v;
         } else if (positional && !arg.empty() && arg[0] != '-') {
             positional->push_back(arg);
         } else {
@@ -431,8 +425,6 @@ runCommand(int argc, char **argv)
                 sc.trace->energyPeriod = opt.traceEnergyPeriod;
         }
     }
-    if (!opt.trace.empty())
-        sim::Trace::enableFromString(opt.trace);
     return runScenario(sc, opt.stats, opt.power);
 }
 
@@ -692,8 +684,6 @@ main(int argc, char **argv)
                          "section declares fabric links)\n");
             return 2;
         }
-        if (!opt.trace.empty())
-            sim::Trace::enableFromString(opt.trace);
         return runMica2(opt);
     } catch (const sim::SimError &e) {
         std::fprintf(stderr, "%s\n", e.what());
