@@ -1,5 +1,9 @@
 #include "core/apps.hh"
 
+#include <array>
+#include <memory>
+#include <mutex>
+
 #include "core/memory_map.hh"
 #include "sim/logging.hh"
 
@@ -206,8 +210,28 @@ planTimers(std::uint32_t period_cycles)
             static_cast<std::uint16_t>(count)};
 }
 
-std::string
-mcuParamHeader(const AppParams &params)
+/**
+ * The node-specific constants of the uC code: byte-valued `P_*`
+ * symbols, in paramNames() order. The code uses each one only as an
+ * `LDI` immediate, so a shape's template takes a node's values by
+ * patching bytes.
+ */
+constexpr std::size_t numParams = 11;
+using ParamValues = std::array<std::uint8_t, numParams>;
+
+const std::array<std::string, numParams> &
+paramNames()
+{
+    static const std::array<std::string, numParams> names = {
+        "P_CHAINED", "P_PERIOD1_HI", "P_PERIOD1_LO", "P_PERIOD_HI",
+        "P_PERIOD_LO", "P_THRESH", "P_DEST_HI", "P_DEST_LO",
+        "P_MACCTRL", "P_WDT_HI", "P_WDT_LO"};
+    return names;
+}
+
+/** The one place AppParams become uC constants. */
+ParamValues
+paramValues(const AppParams &params)
 {
     TimerPlan plan = planTimers(params.samplePeriodCycles);
     // MAC control: bits 0-2 retry budget, bit 3 auto-ACK (paired with a
@@ -218,15 +242,30 @@ mcuParamHeader(const AppParams &params)
     std::uint32_t wdt_load = (params.watchdogCycles + 255) / 256;
     if (wdt_load > 0xFFFF)
         wdt_load = 0xFFFF;
+    auto byte = [](unsigned v) { return static_cast<std::uint8_t>(v); };
+    return {byte(plan.chained ? 1 : 0), byte(plan.load1 >> 8),
+            byte(plan.load1 & 0xFF), byte(plan.load0 >> 8),
+            byte(plan.load0 & 0xFF), params.threshold,
+            byte(params.dest >> 8), byte(params.dest & 0xFF),
+            byte(macctrl), byte(wdt_load >> 8), byte(wdt_load & 0xFF)};
+}
+
+/** The `.equ` lines defining @p values (from-source assembly). */
+std::string
+paramEquates(const ParamValues &values)
+{
+    std::string s;
+    for (std::size_t i = 0; i < values.size(); ++i)
+        s += sim::csprintf(".equ %s, %u\n", paramNames()[i].c_str(),
+                           values[i]);
+    return s;
+}
+
+/** Fixed uC constants: code base, command-frame fields, ACL, scratch. */
+std::string
+mcuConstHeader()
+{
     return sim::csprintf(
-        ".equ P_CHAINED, %u\n"
-        ".equ P_PERIOD1_HI, %u\n"
-        ".equ P_PERIOD1_LO, %u\n"
-        ".equ P_PERIOD_HI, %u\n"
-        ".equ P_PERIOD_LO, %u\n"
-        ".equ P_THRESH, %u\n"
-        ".equ P_DEST_HI, %u\n"
-        ".equ P_DEST_LO, %u\n"
         ".equ MCU_CODE, %u\n"
         ".equ MSG_INBUF_CMD, %u\n"
         ".equ MSG_INBUF_VHI, %u\n"
@@ -235,13 +274,7 @@ mcuParamHeader(const AppParams &params)
         ".equ MSG_INBUF_SRC_HI, %u\n"
         ".equ ACL_HI, %u\n"
         ".equ ACL_LO, %u\n"
-        ".equ SCRATCH, %u\n"
-        ".equ P_MACCTRL, %u\n"
-        ".equ P_WDT_HI, %u\n"
-        ".equ P_WDT_LO, %u\n",
-        plan.chained ? 1 : 0, plan.load1 >> 8, plan.load1 & 0xFF,
-        plan.load0 >> 8, plan.load0 & 0xFF,
-        params.threshold, params.dest >> 8, params.dest & 0xFF,
+        ".equ SCRATCH, %u\n",
         map::mcuCodeBase,
         map::msgBase + map::msgInBuf + cmdTargetOffset,
         map::msgBase + map::msgInBuf + cmdValueHiOffset,
@@ -249,8 +282,56 @@ mcuParamHeader(const AppParams &params)
         map::msgBase + map::msgInBuf + 7,
         map::msgBase + map::msgInBuf + 8,
         0x00, 0x42,
-        map::mcuCodeBase - 2,
-        macctrl, wdt_load >> 8, wdt_load & 0xFF);
+        map::mcuCodeBase - 2);
+}
+
+enum class AppKind : std::uint8_t
+{
+    App1, App2, App3, App4, Blink, Sense, Sink
+};
+
+/**
+ * What of AppParams changes an app's instruction stream; everything
+ * else reaches the code only as `P_*` byte values. Templates are keyed
+ * by it.
+ */
+struct Shape
+{
+    AppKind kind;
+    bool chained;  ///< period beyond 16 bits: timer 0 chained into timer 1
+    bool watchdog; ///< arm the watchdog, kick it, re-run init on a bark
+    bool mac;      ///< program the MAC retry / auto-ACK register
+
+    auto operator<=>(const Shape &) const = default;
+};
+
+/** The staged applications vary with @p params; the microbenchmarks
+ *  and the sink run fixed code. */
+Shape
+shapeOf(AppKind kind, const AppParams &params)
+{
+    switch (kind) {
+      case AppKind::App1:
+      case AppKind::App2:
+      case AppKind::App3:
+      case AppKind::App4:
+        return {kind, params.samplePeriodCycles > 0xFFFF,
+                params.watchdogCycles > 0, params.macRetries > 0};
+      default:
+        return {kind, false, false, false};
+    }
+}
+
+/** The params whose values reach the code: blink and the sink model no
+ *  MAC retries or watchdog. */
+AppParams
+effectiveParams(AppKind kind, AppParams params)
+{
+    if (kind == AppKind::Blink || kind == AppKind::Sink) {
+        params.macRetries = 0;
+        params.watchdogCycles = 0;
+    }
+    return params;
 }
 
 /**
@@ -259,8 +340,8 @@ mcuParamHeader(const AppParams &params)
  * is entirely the EP's business).
  */
 std::string
-mcuInit(const AppParams &params, bool use_filter, bool radio_rx,
-        bool enable_timer, bool chained = false)
+mcuInit(const Shape &shape, bool use_filter, bool radio_rx,
+        bool enable_timer)
 {
     std::string s = "\n.org MCU_CODE\ninit:\n"
                     "    LDI r0, P_DEST_HI\n"
@@ -269,7 +350,7 @@ mcuInit(const AppParams &params, bool use_filter, bool radio_rx,
                     "    STS MSG_DEST_LO, r0\n"
                     "    LDI r0, 1\n"
                     "    STS MSG_PAYLOAD_LEN, r0\n";
-    if (params.macRetries > 0) {
+    if (shape.mac) {
         s += "    LDI r0, P_MACCTRL\n"
              "    STS RADIO_MACCTRL, r0\n";
     }
@@ -288,7 +369,7 @@ mcuInit(const AppParams &params, bool use_filter, bool radio_rx,
              "    STS TIMER0_LOADHI, r0\n"
              "    LDI r0, P_PERIOD_LO\n"
              "    STS TIMER0_LOADLO, r0\n";
-        if (chained) {
+        if (shape.chained) {
             s += "    LDI r0, P_PERIOD1_HI\n"
                  "    STS TIMER1_LOADHI, r0\n"
                  "    LDI r0, P_PERIOD1_LO\n"
@@ -299,7 +380,7 @@ mcuInit(const AppParams &params, bool use_filter, bool radio_rx,
         s += "    LDI r0, 3\n"              // enable | reload
              "    STS TIMER0_CTRL, r0\n";
     }
-    if (params.watchdogCycles > 0) {
+    if (shape.watchdog) {
         // Arm last so the first kick (from the timer ISR) lands well
         // inside the first countdown window.
         s += "    LDI r0, P_WDT_HI\n"
@@ -394,139 +475,85 @@ rc_invalid:
 // Assembly of complete applications.
 // ---------------------------------------------------------------------------
 
-NodeApp
-finish(std::string name, const std::string &ep_source,
-       const std::string &mcu_source)
+/** One application's code for a shape; the uC part leaves `P_*`
+ *  undefined. */
+struct AppSource
 {
-    NodeApp app;
-    app.name = std::move(name);
-    app.ep = epAssemble(ep_source);
-    app.mcu = mcu::assemble(mcu_source, epDefaultSymbols());
-    app.initEntry = app.mcu.symbol("init");
-    if (app.mcu.hasSymbol("reconfig"))
-        app.vectors[0] = app.mcu.symbol("reconfig");
-    return app;
+    const char *name;
+    std::string ep;
+    std::string mcu;
+};
+
+/** The staged apps' shared send path: timer ISR (+ watchdog kick),
+ *  message-ready ISR and timer bindings. */
+std::string
+epSendPath(const Shape &shape, const char *timer_isr)
+{
+    std::string isr = shape.watchdog ? withWatchdogKick(timer_isr)
+                                     : std::string(timer_isr);
+    return isr + epTxReadyIsr;
 }
-
-} // namespace
-
-namespace {
 
 /** Watchdog EP plumbing shared by the staged applications. */
 std::string
-epWatchdogParts(const AppParams &params)
+epWatchdogParts(const Shape &shape)
 {
-    if (params.watchdogCycles == 0)
+    if (!shape.watchdog)
         return "";
     return std::string(epWatchdogIsr) + epIsrBindingsWatchdog;
 }
 
-/** A bark re-runs init (full reconfiguration) via wakeup vector 7. */
-NodeApp
-finishWithWatchdog(const AppParams &params, std::string name,
-                   const std::string &ep_source,
-                   const std::string &mcu_source)
+AppSource
+sourceOf(const Shape &shape)
 {
-    NodeApp app = finish(std::move(name), ep_source, mcu_source);
-    if (params.watchdogCycles > 0)
-        app.vectors[7] = app.initEntry;
-    return app;
-}
-
-} // namespace
-
-NodeApp
-buildApp1(const AppParams &params)
-{
-    bool chained = params.samplePeriodCycles > 0xFFFF;
-    bool wdt = params.watchdogCycles > 0;
-    std::string timer_isr = wdt ? withWatchdogKick(epTimerIsrNoFilter)
-                                : epTimerIsrNoFilter;
-    std::string ep = timer_isr + epTxReadyIsr +
-                     epTxDoneGateRadio + epNullIsr +
-                     epIsrBindingsV1(chained) + epWatchdogParts(params);
-    std::string mc = mcuParamHeader(params) +
-                     mcuInit(params, false, false, true, chained);
-    return finishWithWatchdog(params, "app1-sample-send", ep, mc);
-}
-
-NodeApp
-buildApp2(const AppParams &params)
-{
-    bool chained = params.samplePeriodCycles > 0xFFFF;
-    bool wdt = params.watchdogCycles > 0;
-    std::string timer_isr = wdt ? withWatchdogKick(epTimerIsrFilter)
-                                : epTimerIsrFilter;
-    std::string ep = timer_isr + epTxReadyIsr +
-                     epTxDoneGateRadio + epNullIsr +
-                     epIsrBindingsV1(chained) + epIsrBindingsFilter +
-                     epWatchdogParts(params);
-    std::string mc = mcuParamHeader(params) +
-                     mcuInit(params, true, false, true, chained);
-    return finishWithWatchdog(params, "app2-sample-filter-send", ep, mc);
-}
-
-NodeApp
-buildApp3(const AppParams &params)
-{
-    bool chained = params.samplePeriodCycles > 0xFFFF;
-    bool wdt = params.watchdogCycles > 0;
-    std::string timer_isr = wdt ? withWatchdogKick(epTimerIsrFilter)
-                                : epTimerIsrFilter;
-    std::string ep = timer_isr + epTxReadyIsr +
-                     epTxDoneKeepRadio + epRxIsrs + epNullIsr +
-                     epIsrBindingsV1(chained) + epIsrBindingsFilter +
-                     epIsrBindingsRx + epWatchdogParts(params);
-    std::string mc = mcuParamHeader(params) +
-                     mcuInit(params, true, true, true, chained);
-    return finishWithWatchdog(params, "app3-multihop", ep, mc);
-}
-
-NodeApp
-buildApp4(const AppParams &params)
-{
-    bool chained = params.samplePeriodCycles > 0xFFFF;
-    bool wdt = params.watchdogCycles > 0;
-    std::string timer_isr = wdt ? withWatchdogKick(epTimerIsrFilter)
-                                : epTimerIsrFilter;
-    std::string ep = timer_isr + epTxReadyIsr +
-                     epTxDoneKeepRadio + epRxIsrs + epIrregularIsr +
-                     epNullIsr + epIsrBindingsV1(chained) +
-                     epIsrBindingsFilter + epIsrBindingsRx +
-                     epIsrBindingsIrregular + epWatchdogParts(params);
-    std::string mc = mcuParamHeader(params) +
-                     mcuInit(params, true, true, true, chained) +
-                     mcuReconfigHandler;
-    return finishWithWatchdog(params, "app4-reconfigurable", ep, mc);
-}
-
-NodeApp
-buildBlink(const AppParams &params)
-{
-    // SNAP comparison: a timer interrupt toggles an LED. The "LED" is a
-    // scratch byte; the EP writes alternating values from two tiny ISRs
-    // is overkill, a single WRITEI models the set-LED operation.
-    const char *ep = R"(
+    const std::string header = mcuConstHeader();
+    switch (shape.kind) {
+      case AppKind::App1:
+        return {"app1-sample-send",
+                epSendPath(shape, epTimerIsrNoFilter) + epTxDoneGateRadio +
+                    epNullIsr + epIsrBindingsV1(shape.chained) +
+                    epWatchdogParts(shape),
+                header + mcuInit(shape, false, false, true)};
+      case AppKind::App2:
+        return {"app2-sample-filter-send",
+                epSendPath(shape, epTimerIsrFilter) + epTxDoneGateRadio +
+                    epNullIsr + epIsrBindingsV1(shape.chained) +
+                    epIsrBindingsFilter + epWatchdogParts(shape),
+                header + mcuInit(shape, true, false, true)};
+      case AppKind::App3:
+        return {"app3-multihop",
+                epSendPath(shape, epTimerIsrFilter) + epTxDoneKeepRadio +
+                    epRxIsrs + epNullIsr + epIsrBindingsV1(shape.chained) +
+                    epIsrBindingsFilter + epIsrBindingsRx +
+                    epWatchdogParts(shape),
+                header + mcuInit(shape, true, true, true)};
+      case AppKind::App4:
+        return {"app4-reconfigurable",
+                epSendPath(shape, epTimerIsrFilter) + epTxDoneKeepRadio +
+                    epRxIsrs + epIrregularIsr + epNullIsr +
+                    epIsrBindingsV1(shape.chained) + epIsrBindingsFilter +
+                    epIsrBindingsRx + epIsrBindingsIrregular +
+                    epWatchdogParts(shape),
+                header + mcuInit(shape, true, true, true) +
+                    mcuReconfigHandler};
+      case AppKind::Blink:
+        // SNAP comparison: a timer interrupt toggles an LED. The "LED"
+        // is a scratch byte; the EP writes alternating values from two
+        // tiny ISRs is overkill, a single WRITEI models the set-LED
+        // operation.
+        return {"blink", R"(
 blink_isr:
     WRITEI 0x0700, 1            ; LED register in scratch space
     TERMINATE
 .isr Timer0, blink_isr
-)";
-    // The microbenchmarks don't model MAC retries or the watchdog.
-    AppParams p = params;
-    p.macRetries = 0;
-    p.watchdogCycles = 0;
-    std::string mc = mcuParamHeader(p) + mcuInit(p, false, false, true);
-    return finish("blink", ep, mc);
-}
-
-NodeApp
-buildSense(const AppParams &params)
-{
-    // SNAP comparison: periodically sample the ADC and feed a running
-    // statistic. The threshold filter block plays the accumulator role
-    // (data-processing slave), with interrupts disabled.
-    const char *ep = R"(
+)",
+                header + mcuInit(shape, false, false, true)};
+      case AppKind::Sense:
+        // SNAP comparison: periodically sample the ADC and feed a
+        // running statistic. The threshold filter block plays the
+        // accumulator role (data-processing slave), with interrupts
+        // disabled.
+        return {"sense", R"(
 sense_isr:
     SWITCHON SENSOR
     READ SENSOR_DATA
@@ -534,58 +561,178 @@ sense_isr:
     WRITE FILTER_DATA
     TERMINATE
 .isr Timer0, sense_isr
-)";
-    std::string mc = mcuParamHeader(params) +
-                     "\n.org MCU_CODE\ninit:\n"
-                     "    LDI r0, 0\n"
-                     "    STS FILTER_CTRL, r0\n" // statistic mode: no irqs
-                     "    LDI r0, P_PERIOD_HI\n"
-                     "    STS TIMER0_LOADHI, r0\n"
-                     "    LDI r0, P_PERIOD_LO\n"
-                     "    STS TIMER0_LOADLO, r0\n"
-                     "    LDI r0, 3\n"
-                     "    STS TIMER0_CTRL, r0\n"
-                     "    SLEEP\n";
-    return finish("sense", ep, mc);
+)",
+                header + "\n.org MCU_CODE\ninit:\n"
+                         "    LDI r0, 0\n"
+                         "    STS FILTER_CTRL, r0\n" // no irqs
+                         "    LDI r0, P_PERIOD_HI\n"
+                         "    STS TIMER0_LOADHI, r0\n"
+                         "    LDI r0, P_PERIOD_LO\n"
+                         "    STS TIMER0_LOADLO, r0\n"
+                         "    LDI r0, 3\n"
+                         "    STS TIMER0_CTRL, r0\n"
+                         "    SLEEP\n"};
+      case AppKind::Sink:
+        // Listen-only: the receive pipeline of app3 with no timer,
+        // filter or send path. The forward ISR stays bound so a sink
+        // given routing-CAM entries can still relay (tree roots that
+        // uplink elsewhere).
+        return {"sink-listen",
+                std::string(epTxDoneKeepRadio) + epRxIsrs +
+                    ".isr RadioTxDone, txdone_isr\n"
+                    ".isr RadioTxFail, txdone_isr\n" +
+                    epIsrBindingsRx,
+                header + mcuInit(shape, false, true, false)};
+    }
+    sim::panic("unhandled app kind");
+}
+
+/** Assemble the EP side and wire up entry points around @p image. */
+NodeApp
+link(const Shape &shape, const AppSource &source, mcu::Image image)
+{
+    NodeApp app;
+    app.name = source.name;
+    app.ep = epAssemble(source.ep);
+    app.mcu = std::move(image);
+    app.initEntry = app.mcu.symbol("init");
+    if (app.mcu.hasSymbol("reconfig"))
+        app.vectors[0] = app.mcu.symbol("reconfig");
+    // A bark re-runs init (full reconfiguration) via wakeup vector 7.
+    if (shape.watchdog)
+        app.vectors[7] = app.initEntry;
+    return app;
+}
+
+/** A shape's image with every `P_*` byte and symbol left to bind. */
+struct Template
+{
+    NodeApp app;
+    std::vector<mcu::ParamFixup> fixups;
+};
+
+/**
+ * The process-wide template for @p shape, assembled from source on
+ * first use. Templates are immutable once published, so callers bind
+ * outside the lock.
+ */
+std::shared_ptr<const Template>
+templateFor(const Shape &shape)
+{
+    static std::mutex mutex;
+    static std::map<Shape, std::shared_ptr<const Template>> memo;
+    std::lock_guard<std::mutex> lock(mutex);
+    std::shared_ptr<const Template> &slot = memo[shape];
+    if (!slot) {
+        AppSource source = sourceOf(shape);
+        auto t = std::make_shared<Template>();
+        mcu::Image image = mcu::assemble(source.mcu, epDefaultSymbols(),
+                                         paramNames(), t->fixups);
+        for (const std::string &name : paramNames())
+            image.symbols[name] = 0;
+        t->app = link(shape, source, std::move(image));
+        slot = std::move(t);
+    }
+    return slot;
+}
+
+/** Copy @p t and write @p values into its parameter bytes and symbols. */
+NodeApp
+bindParams(const Template &t, const ParamValues &values)
+{
+    NodeApp app = t.app;
+    for (const mcu::ParamFixup &f : t.fixups)
+        app.mcu.chunks[f.chunk].bytes[f.offset] = values[f.param];
+    for (std::size_t i = 0; i < values.size(); ++i)
+        app.mcu.symbols.find(paramNames()[i])->second = values[i];
+    return app;
+}
+
+NodeApp
+build(AppKind kind, const AppParams &params)
+{
+    AppParams p = effectiveParams(kind, params);
+    ParamValues values = paramValues(p);
+    return bindParams(*templateFor(shapeOf(kind, p)), values);
+}
+
+AppKind
+kindByName(const std::string &name)
+{
+    static const std::pair<const char *, AppKind> kinds[] = {
+        {"app1", AppKind::App1},   {"app2", AppKind::App2},
+        {"app3", AppKind::App3},   {"app4", AppKind::App4},
+        {"blink", AppKind::Blink}, {"sense", AppKind::Sense},
+        {"sink", AppKind::Sink}};
+    for (const auto &[n, kind] : kinds) {
+        if (name == n)
+            return kind;
+    }
+    sim::fatal("unknown app '%s' (valid: app1, app2, app3, app4, blink, "
+               "sense, sink)",
+               name.c_str());
+}
+
+} // namespace
+
+NodeApp
+buildApp1(const AppParams &params)
+{
+    return build(AppKind::App1, params);
+}
+
+NodeApp
+buildApp2(const AppParams &params)
+{
+    return build(AppKind::App2, params);
+}
+
+NodeApp
+buildApp3(const AppParams &params)
+{
+    return build(AppKind::App3, params);
+}
+
+NodeApp
+buildApp4(const AppParams &params)
+{
+    return build(AppKind::App4, params);
+}
+
+NodeApp
+buildBlink(const AppParams &params)
+{
+    return build(AppKind::Blink, params);
+}
+
+NodeApp
+buildSense(const AppParams &params)
+{
+    return build(AppKind::Sense, params);
 }
 
 NodeApp
 buildSink(const AppParams &params)
 {
-    // Listen-only: the receive pipeline of app3 with no timer, filter or
-    // send path. The forward ISR stays bound so a sink given routing-CAM
-    // entries can still relay (tree roots that uplink elsewhere).
-    std::string ep = std::string(epTxDoneKeepRadio) + epRxIsrs +
-                     ".isr RadioTxDone, txdone_isr\n"
-                     ".isr RadioTxFail, txdone_isr\n" +
-                     epIsrBindingsRx;
-    AppParams p = params;
-    p.macRetries = 0;
-    p.watchdogCycles = 0;
-    std::string mc = mcuParamHeader(p) + mcuInit(p, false, true, false);
-    return finish("sink-listen", ep, mc);
+    return build(AppKind::Sink, params);
 }
 
 NodeApp
 buildByName(const std::string &name, const AppParams &params)
 {
-    if (name == "app1")
-        return buildApp1(params);
-    if (name == "app2")
-        return buildApp2(params);
-    if (name == "app3")
-        return buildApp3(params);
-    if (name == "app4")
-        return buildApp4(params);
-    if (name == "blink")
-        return buildBlink(params);
-    if (name == "sense")
-        return buildSense(params);
-    if (name == "sink")
-        return buildSink(params);
-    sim::fatal("unknown app '%s' (valid: app1, app2, app3, app4, blink, "
-               "sense, sink)",
-               name.c_str());
+    return build(kindByName(name), params);
+}
+
+NodeApp
+assembleFromSource(const std::string &name, const AppParams &params)
+{
+    AppKind kind = kindByName(name);
+    AppParams p = effectiveParams(kind, params);
+    Shape shape = shapeOf(kind, p);
+    AppSource source = sourceOf(shape);
+    return link(shape, source,
+                mcu::assemble(paramEquates(paramValues(p)) + source.mcu,
+                              epDefaultSymbols()));
 }
 
 void

@@ -17,6 +17,13 @@
  *
  * Each NodeApp bundles the EP ISR program, the uC image (init code and
  * irregular-event handlers), and the wakeup vector bindings.
+ *
+ * Every node runs the same program up to a few constants, so an app is
+ * assembled once per *shape* (app name, chained timers, watchdog, MAC
+ * retries) into a process-wide template, and the build functions copy
+ * that template and write the node's `P_*` parameter bytes into it.
+ * The result is byte-identical to assembling the app from source with
+ * the node's values (assembleFromSource).
  */
 
 #ifndef ULP_CORE_APPS_HH
@@ -103,6 +110,14 @@ NodeApp buildSink(const AppParams &params = {});
 /** Build an application by scenario name: app1..app4, blink, sense,
  *  sink. Unknown names are fatal (the message lists the valid set). */
 NodeApp buildByName(const std::string &name, const AppParams &params = {});
+
+/**
+ * Assemble @p name from source with @p params' values written into the
+ * `.equ` header instead of left as holes to bind: the reference the
+ * template path must reproduce. Same names as buildByName.
+ */
+NodeApp assembleFromSource(const std::string &name,
+                           const AppParams &params = {});
 
 /** Load programs and vectors into @p node and run the uC init code. */
 void install(SensorNode &node, const NodeApp &app);

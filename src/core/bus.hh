@@ -96,13 +96,13 @@ class DataBus : public sim::SimObject
     std::vector<BusSlave *> slaves;
     bool mcuHoldsBus = false;
 
-    sim::TelemetrySink *obs = nullptr;
-    std::uint32_t obsId = 0;
-
     sim::stats::Scalar statReads;
     sim::stats::Scalar statWrites;
     sim::stats::Scalar statUnmapped;
     sim::stats::Scalar statWedged;
+
+    sim::TelemetrySink *obs = nullptr;
+    std::uint32_t obsId = 0;
 };
 
 } // namespace ulp::core

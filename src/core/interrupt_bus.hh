@@ -76,12 +76,12 @@ class InterruptBus : public sim::SimObject
     std::bitset<numIrqCodes> asserted;
     fabric::EventSink *sink = nullptr;
 
-    sim::TelemetrySink *obs = nullptr;
-    std::uint32_t obsId = 0;
-
     sim::stats::Scalar statPosted;
     sim::stats::Scalar statDropped;
     sim::stats::Scalar statTaken;
+
+    sim::TelemetrySink *obs = nullptr;
+    std::uint32_t obsId = 0;
 };
 
 } // namespace ulp::core

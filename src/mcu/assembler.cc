@@ -40,6 +40,13 @@ struct Asm
     std::map<std::string, std::uint32_t> symbols;
     int lineNo = 0;
 
+    /** Bindable parameters (none for plain assembly) and where their
+     *  bytes landed. */
+    std::span<const std::string> params;
+    std::vector<ParamFixup> *fixups = nullptr;
+    /** Index the chunk being emitted will have in Image::chunks. */
+    std::size_t chunkIndex = 0;
+
     [[noreturn]] void
     error(const std::string &message) const
     {
@@ -64,6 +71,22 @@ struct Asm
         return s;
     }
 
+    /** Index of @p name in params, or -1 when it is not a parameter. */
+    int
+    paramIndex(const std::string &name) const
+    {
+        auto it = std::find(params.begin(), params.end(), name);
+        return it == params.end() ? -1
+                                  : static_cast<int>(it - params.begin());
+    }
+
+    bool
+    isDefined(const std::string &name) const
+    {
+        return symbols.count(name) || predefined->count(name) ||
+               paramIndex(name) >= 0;
+    }
+
     bool
     lookupSymbol(const std::string &name, std::uint32_t &out) const
     {
@@ -79,6 +102,9 @@ struct Asm
                 return true;
             }
         }
+        if (paramIndex(name) >= 0)
+            error("parameter '" + name + "' is only allowed as a whole "
+                  "byte operand");
         return false;
     }
 
@@ -188,6 +214,21 @@ struct Asm
         if (final && v > 0xFF)
             error("value " + std::to_string(v) + " does not fit in a byte");
         return static_cast<std::uint8_t>(v & 0xFF);
+    }
+
+    /** Emit a byte operand; a bare parameter name leaves a recorded
+     *  hole instead of a value. */
+    void
+    emitByte(const std::string &expr, std::vector<std::uint8_t> &out)
+    {
+        int param = paramIndex(expr);
+        if (param >= 0) {
+            fixups->push_back({static_cast<std::size_t>(param), chunkIndex,
+                               out.size()});
+            out.push_back(0);
+            return;
+        }
+        out.push_back(byteValue(expr, true));
     }
 
     std::uint16_t
@@ -336,7 +377,7 @@ encode(const Statement &st, const InstrInfo &info, Asm &ctx,
         need(2);
         int rd = ctx.parseReg(st.operands[0]);
         out.push_back(static_cast<std::uint8_t>(rd << 4));
-        out.push_back(ctx.byteValue(st.operands[1], true));
+        ctx.emitByte(st.operands[1], out);
         break;
       }
       case Format::RdAddr: {
@@ -395,21 +436,16 @@ encode(const Statement &st, const InstrInfo &info, Asm &ctx,
       }
       case Format::Imm: {
         need(1);
-        out.push_back(ctx.byteValue(st.operands[0], true));
+        ctx.emitByte(st.operands[0], out);
         break;
       }
     }
 }
 
-} // namespace
-
+/** Both passes over @p source with @p ctx's symbol sources. */
 Image
-assemble(const std::string &source,
-         const std::map<std::string, std::uint16_t> &predefined)
+assemble(Asm &ctx, const std::string &source)
 {
-    Asm ctx;
-    ctx.predefined = &predefined;
-
     std::vector<Statement> statements = parse(source, ctx);
 
     // Pass 1: assign label addresses and .equ symbols.
@@ -417,10 +453,8 @@ assemble(const std::string &source,
     for (const Statement &st : statements) {
         ctx.lineNo = st.lineNo;
         if (!st.label.empty()) {
-            if (ctx.symbols.count(st.label) ||
-                predefined.count(st.label)) {
+            if (ctx.isDefined(st.label))
                 ctx.error("duplicate symbol '" + st.label + "'");
-            }
             ctx.symbols[st.label] = loc;
         }
         if (st.mnemonic.empty())
@@ -434,7 +468,7 @@ assemble(const std::string &source,
             if (st.operands.size() != 2)
                 ctx.error(".equ needs NAME, VALUE");
             const std::string &name = st.operands[0];
-            if (ctx.symbols.count(name) || predefined.count(name))
+            if (ctx.isDefined(name))
                 ctx.error("duplicate symbol '" + name + "'");
             ctx.symbols[name] = ctx.evalExpr(st.operands[1], false);
         } else {
@@ -460,6 +494,7 @@ assemble(const std::string &source,
         ctx.lineNo = st.lineNo;
         if (st.mnemonic.empty())
             continue;
+        ctx.chunkIndex = image.chunks.size();
         std::string m = Asm::lower(st.mnemonic);
         if (m == ".org") {
             flush();
@@ -476,7 +511,7 @@ assemble(const std::string &source,
         }
         if (m == ".byte") {
             for (const std::string &op : st.operands)
-                chunk.bytes.push_back(ctx.byteValue(op, true));
+                ctx.emitByte(op, chunk.bytes);
             loc += st.operands.size();
             continue;
         }
@@ -509,6 +544,30 @@ assemble(const std::string &source,
         image.symbols[name] = static_cast<std::uint16_t>(value);
     }
     return image;
+}
+
+} // namespace
+
+Image
+assemble(const std::string &source,
+         const std::map<std::string, std::uint16_t> &predefined)
+{
+    Asm ctx;
+    ctx.predefined = &predefined;
+    return assemble(ctx, source);
+}
+
+Image
+assemble(const std::string &source,
+         const std::map<std::string, std::uint16_t> &predefined,
+         std::span<const std::string> params,
+         std::vector<ParamFixup> &fixups)
+{
+    Asm ctx;
+    ctx.predefined = &predefined;
+    ctx.params = params;
+    ctx.fixups = &fixups;
+    return assemble(ctx, source);
 }
 
 std::string

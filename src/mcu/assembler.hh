@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,29 @@ struct Image
  */
 Image assemble(const std::string &source,
                const std::map<std::string, std::uint16_t> &predefined = {});
+
+/** One byte of an assembled image that holds a bound parameter. */
+struct ParamFixup
+{
+    std::size_t param = 0;  ///< index into assemble()'s @p params
+    std::size_t chunk = 0;  ///< index into Image::chunks
+    std::size_t offset = 0; ///< byte offset within that chunk
+};
+
+/**
+ * Assemble @p source with @p params left as holes to bind later. A
+ * parameter may appear only as a whole byte operand (`LDI r0, NAME` or
+ * a `.byte` entry): that byte is emitted as 0 and its position appended
+ * to @p fixups. Any other use (inside an expression, as an address, in
+ * a directive, redefined) is fatal, so writing a byte value v into
+ * every recorded position gives exactly what the same source assembles
+ * to after a leading `.equ NAME, v`. Parameters are not in the
+ * returned symbol table.
+ */
+Image assemble(const std::string &source,
+               const std::map<std::string, std::uint16_t> &predefined,
+               std::span<const std::string> params,
+               std::vector<ParamFixup> &fixups);
 
 /** Disassemble one instruction at @p bytes; for debugging and tests. */
 std::string disassemble(const std::uint8_t *bytes, std::size_t available);

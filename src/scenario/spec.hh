@@ -22,6 +22,7 @@
 #define ULP_SCENARIO_SPEC_HH
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -63,9 +64,10 @@ struct NodeSpec
 
     /**
      * Escape hatch for tests and benches: a prebuilt application image
-     * used verbatim instead of `app`/`params`.
+     * used verbatim instead of `app`/`params`. Shared, so copies of a
+     * spec do not copy the image.
      */
-    std::optional<core::apps::NodeApp> prebuiltApp;
+    std::shared_ptr<const core::apps::NodeApp> prebuiltApp;
 
     /**
      * Event-fabric links armed on this node ([events] section plus
@@ -123,7 +125,8 @@ struct NodeSpec
     NodeSpec &
     withPrebuiltApp(core::apps::NodeApp a)
     {
-        prebuiltApp = std::move(a);
+        prebuiltApp =
+            std::make_shared<const core::apps::NodeApp>(std::move(a));
         return *this;
     }
     NodeSpec &
