@@ -368,9 +368,10 @@ Network::dumpStats(std::ostream &os)
             shards[0].spatialMedium->mergeFrom(*shards[s].spatialMedium);
         statsMerged = true;
     }
-    shards[0].spatialMedium->printStats(os);
+    sim::stats::Dump out(os);
+    out.group(*shards[0].spatialMedium);
     for (SensorNode *node : nodeByIndex)
-        node->printStats(os);
+        out.group(*node);
 }
 
 } // namespace ulp::core

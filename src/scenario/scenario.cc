@@ -812,6 +812,10 @@ parseScenario(const std::string &text, const std::string &filename)
                 }
                 section = Section::Node;
                 override = &sc.overrides[node];
+            } else if (sec == "campaign") {
+                at.fail("'[campaign]' makes this a campaign spec, not a "
+                        "scenario: use 'ulpsim campaign run " + at.file +
+                        "'");
             } else
                 at.fail("unknown section '[" + sec + "]'");
             continue;

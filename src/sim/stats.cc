@@ -1,109 +1,71 @@
 #include "sim/stats.hh"
 
-#include <iomanip>
-
-#include "sim/logging.hh"
+#include <charconv>
 
 namespace ulp::sim::stats {
 
-Info::Info(Group *parent, std::string name, std::string desc)
-    : _name(std::move(name)), _desc(std::move(desc))
+Info::Info(Group *parent, Literal name, Literal desc, Kind kind)
+    : _name(name.view().data()), _desc(desc.view().data()),
+      _nameSize(static_cast<std::uint16_t>(name.view().size())),
+      _descSize(static_cast<std::uint16_t>(desc.view().size())),
+      _kind(kind)
 {
-    if (parent)
-        parent->addStat(this);
-}
-
-namespace {
-
-void
-printLine(std::ostream &os, const std::string &prefix,
-          const std::string &name, double value, const std::string &desc)
-{
-    std::string full = prefix.empty() ? name : prefix + "." + name;
-    os << std::left << std::setw(44) << full << " "
-       << std::right << std::setw(16) << value
-       << "  # " << desc << "\n";
-}
-
-} // namespace
-
-void
-Scalar::print(std::ostream &os, const std::string &prefix) const
-{
-    printLine(os, prefix, name(), _value, desc());
-}
-
-void
-Formula::print(std::ostream &os, const std::string &prefix) const
-{
-    printLine(os, prefix, name(), value(), desc());
-}
-
-void
-Distribution::print(std::ostream &os, const std::string &prefix) const
-{
-    printLine(os, prefix, name() + ".count",
-              static_cast<double>(_count), desc());
-    printLine(os, prefix, name() + ".mean", mean(), desc());
-    printLine(os, prefix, name() + ".min", min(), desc());
-    printLine(os, prefix, name() + ".max", max(), desc());
-    printLine(os, prefix, name() + ".stddev", stddev(), desc());
+    if (!parent)
+        return;
+    if (parent->_lastStat)
+        parent->_lastStat->_next = this;
+    else
+        parent->_firstStat = this;
+    parent->_lastStat = this;
 }
 
 Group::Group(Group *parent, std::string name)
     : _groupName(std::move(name)), _parent(parent)
 {
-    if (parent)
-        parent->addChildGroup(this);
+    if (!parent)
+        return;
+    _prevSibling = parent->_lastChild;
+    if (_prevSibling)
+        _prevSibling->_nextSibling = this;
+    else
+        parent->_firstChild = this;
+    parent->_lastChild = this;
 }
 
 Group::~Group()
 {
-    if (_parent) {
-        auto &siblings = _parent->_children;
-        std::erase(siblings, this);
-    }
-    for (Group *child : _children)
+    if (_prevSibling)
+        _prevSibling->_nextSibling = _nextSibling;
+    else if (_parent)
+        _parent->_firstChild = _nextSibling;
+    if (_nextSibling)
+        _nextSibling->_prevSibling = _prevSibling;
+    else if (_parent)
+        _parent->_lastChild = _prevSibling;
+    // Children that outlive this group become roots of their own trees.
+    // They stay linked to each other, so one that dies later still
+    // unlinks itself from its live siblings.
+    for (Group *child = _firstChild; child; child = child->_nextSibling)
         child->_parent = nullptr;
-}
-
-void
-Group::addStat(Info *info)
-{
-    _stats.push_back(info);
-}
-
-void
-Group::addChildGroup(Group *child)
-{
-    _children.push_back(child);
-}
-
-void
-Group::printStats(std::ostream &os, const std::string &prefix) const
-{
-    std::string here = prefix;
-    if (!_groupName.empty())
-        here = prefix.empty() ? _groupName : prefix + "." + _groupName;
-    for (const Info *info : _stats)
-        info->print(os, here);
-    for (const Group *child : _children)
-        child->printStats(os, here);
 }
 
 void
 Group::resetStats()
 {
-    for (Info *info : _stats)
-        info->reset();
-    for (Group *child : _children)
+    for (Info *info = _firstStat; info; info = info->_next) {
+        if (info->kind() == Info::Kind::Scalar)
+            static_cast<Scalar *>(info)->reset();
+        else if (info->kind() == Info::Kind::Distribution)
+            static_cast<Distribution *>(info)->reset();
+    }
+    for (Group *child = _firstChild; child; child = child->_nextSibling)
         child->resetStats();
 }
 
 Info *
-Group::findStat(const std::string &name) const
+Group::findStat(std::string_view name) const
 {
-    for (Info *info : _stats) {
+    for (Info *info = _firstStat; info; info = info->_next) {
         if (info->name() == name)
             return info;
     }
@@ -111,9 +73,9 @@ Group::findStat(const std::string &name) const
 }
 
 Group *
-Group::findChild(const std::string &name) const
+Group::findChild(std::string_view name) const
 {
-    for (Group *child : _children) {
+    for (Group *child = _firstChild; child; child = child->_nextSibling) {
         if (child->groupName() == name)
             return child;
     }
@@ -123,22 +85,130 @@ Group::findChild(const std::string &name) const
 void
 Group::mergeFrom(const Group &other)
 {
-    for (Info *info : _stats) {
+    for (Info *info = _firstStat; info; info = info->_next) {
         const Info *src = other.findStat(info->name());
-        if (!src)
+        if (!src || src->kind() != info->kind())
             continue;
-        if (auto *dst_s = dynamic_cast<Scalar *>(info)) {
-            if (auto *src_s = dynamic_cast<const Scalar *>(src))
-                *dst_s += src_s->value();
-        } else if (auto *dst_d = dynamic_cast<Distribution *>(info)) {
-            if (auto *src_d = dynamic_cast<const Distribution *>(src))
-                dst_d->merge(*src_d);
+        if (info->kind() == Info::Kind::Scalar) {
+            *static_cast<Scalar *>(info) +=
+                static_cast<const Scalar *>(src)->value();
+        } else if (info->kind() == Info::Kind::Distribution) {
+            static_cast<Distribution *>(info)->merge(
+                *static_cast<const Distribution *>(src));
         }
     }
-    for (Group *child : _children) {
+    for (Group *child = _firstChild; child; child = child->_nextSibling) {
         if (const Group *src = other.findChild(child->groupName()))
             child->mergeFrom(*src);
     }
+}
+
+void
+Group::printStats(std::ostream &os) const
+{
+    Dump out(os);
+    out.group(*this);
+}
+
+namespace {
+
+/** Write chunks at least this large; the last one may be shorter. */
+constexpr std::size_t chunkBytes = 64 * 1024;
+
+} // namespace
+
+Dump::Dump(std::ostream &os) : os(os)
+{
+    buf.reserve(chunkBytes + 1024);
+}
+
+Dump::~Dump()
+{
+    flush();
+}
+
+void
+Dump::flush()
+{
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+}
+
+void
+Dump::group(const Group &group)
+{
+    const std::size_t outer = prefix.size();
+    if (!group._groupName.empty()) {
+        if (outer)
+            prefix += '.';
+        prefix += group._groupName;
+    }
+    for (const Info *info = group._firstStat; info; info = info->_next)
+        stat(*info);
+    for (const Group *child = group._firstChild; child;
+         child = child->_nextSibling)
+        this->group(*child);
+    prefix.resize(outer);
+}
+
+void
+Dump::stat(const Info &info)
+{
+    switch (info.kind()) {
+      case Info::Kind::Scalar:
+        line(prefix, info.name(), "",
+             static_cast<const Scalar &>(info).value(), info.desc());
+        break;
+      case Info::Kind::Formula:
+        line(prefix, info.name(), "",
+             static_cast<const Formula &>(info).value(), info.desc());
+        break;
+      case Info::Kind::Distribution: {
+        const auto &d = static_cast<const Distribution &>(info);
+        line(prefix, info.name(), ".count", static_cast<double>(d.count()),
+             info.desc());
+        line(prefix, info.name(), ".mean", d.mean(), info.desc());
+        line(prefix, info.name(), ".min", d.min(), info.desc());
+        line(prefix, info.name(), ".max", d.max(), info.desc());
+        line(prefix, info.name(), ".stddev", d.stddev(), info.desc());
+        break;
+      }
+    }
+}
+
+void
+Dump::line(std::string_view prefix, std::string_view name,
+           std::string_view suffix, double value, std::string_view desc)
+{
+    constexpr std::size_t nameWidth = 44;
+    constexpr std::size_t valueWidth = 16;
+
+    std::size_t width = name.size() + suffix.size();
+    if (!prefix.empty()) {
+        buf.append(prefix);
+        buf += '.';
+        width += prefix.size() + 1;
+    }
+    buf.append(name);
+    buf.append(suffix);
+    if (width < nameWidth)
+        buf.append(nameWidth - width, ' ');
+    buf += ' ';
+
+    // "%g" at precision 6: what an ostream prints for a double by default.
+    char text[32];
+    const std::size_t size = static_cast<std::size_t>(
+        std::to_chars(text, text + sizeof text, value,
+                      std::chars_format::general, 6).ptr - text);
+    if (size < valueWidth)
+        buf.append(valueWidth - size, ' ');
+    buf.append(text, size);
+
+    buf.append("  # ");
+    buf.append(desc);
+    buf += '\n';
+    if (buf.size() >= chunkBytes)
+        flush();
 }
 
 } // namespace ulp::sim::stats

@@ -5,6 +5,12 @@
  * Statistics belong to a Group (every SimObject is a Group); groups form a
  * tree mirroring the system hierarchy. Each statistic has a name and a
  * description and can be printed or reset through the group tree.
+ *
+ * Names and descriptions are string literals: a statistic keeps pointers
+ * into static storage and never copies them. Groups link their statistics
+ * and child groups in intrusive lists, so registering or destroying either
+ * allocates nothing and unlinking a group is O(1). A dump appends every
+ * line to one buffer and writes it to the stream in large chunks.
  */
 
 #ifndef ULP_SIM_STATS_HH
@@ -12,46 +18,77 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace ulp::sim::stats {
 
+class Dump;
 class Group;
 
-/** Base class for a named, described statistic. */
+/**
+ * A string literal, checked at compile time. The only way to name or
+ * describe a statistic: passing a std::string or a runtime pointer does
+ * not compile, so the text always outlives the statistic.
+ */
+class Literal
+{
+  public:
+    template <std::size_t N>
+    consteval Literal(const char (&text)[N])
+        : _text(text), _size(static_cast<std::uint16_t>(
+                           std::char_traits<char>::length(text)))
+    {
+        static_assert(N <= 0x10000, "statistic text over 65535 characters");
+    }
+
+    constexpr std::string_view view() const { return {_text, _size}; }
+
+  private:
+    const char *_text;
+    std::uint16_t _size;
+};
+
+/** Base of a named, described statistic; a link in its group's list. */
 class Info
 {
   public:
-    Info(Group *parent, std::string name, std::string desc);
-    virtual ~Info() = default;
-
     Info(const Info &) = delete;
     Info &operator=(const Info &) = delete;
 
-    const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
+    std::string_view name() const { return {_name, _nameSize}; }
+    std::string_view desc() const { return {_desc, _descSize}; }
 
-    /** Print "prefix.name  value  # desc" line(s). */
-    virtual void print(std::ostream &os, const std::string &prefix) const = 0;
+  protected:
+    /** Stands in for virtual dispatch: print, reset and merge switch on it. */
+    enum class Kind : std::uint8_t { Scalar, Formula, Distribution };
 
-    /** Reset to the initial (zero) state. */
-    virtual void reset() = 0;
+    Info(Group *parent, Literal name, Literal desc, Kind kind);
+    Kind kind() const { return _kind; }
 
   private:
-    std::string _name;
-    std::string _desc;
+    friend class Dump;
+    friend class Group;
+
+    const char *_name;
+    const char *_desc;
+    Info *_next = nullptr;
+    std::uint16_t _nameSize;
+    std::uint16_t _descSize;
+    Kind _kind;
 };
 
 /** A simple accumulating scalar (counter or gauge). */
 class Scalar : public Info
 {
   public:
-    Scalar(Group *parent, std::string name, std::string desc)
-        : Info(parent, std::move(name), std::move(desc))
+    Scalar(Group *parent, Literal name, Literal desc)
+        : Info(parent, name, desc, Kind::Scalar)
     {}
 
     Scalar &operator=(double v) { _value = v; return *this; }
@@ -61,8 +98,7 @@ class Scalar : public Info
     double value() const { return _value; }
     operator double() const { return _value; }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
-    void reset() override { _value = 0.0; }
+    void reset() { _value = 0.0; }
 
   private:
     double _value = 0.0;
@@ -72,15 +108,12 @@ class Scalar : public Info
 class Formula : public Info
 {
   public:
-    Formula(Group *parent, std::string name, std::string desc,
+    Formula(Group *parent, Literal name, Literal desc,
             std::function<double()> fn)
-        : Info(parent, std::move(name), std::move(desc)), fn(std::move(fn))
+        : Info(parent, name, desc, Kind::Formula), fn(std::move(fn))
     {}
 
     double value() const { return fn ? fn() : 0.0; }
-
-    void print(std::ostream &os, const std::string &prefix) const override;
-    void reset() override {}
 
   private:
     std::function<double()> fn;
@@ -90,8 +123,8 @@ class Formula : public Info
 class Distribution : public Info
 {
   public:
-    Distribution(Group *parent, std::string name, std::string desc)
-        : Info(parent, std::move(name), std::move(desc))
+    Distribution(Group *parent, Literal name, Literal desc)
+        : Info(parent, name, desc, Kind::Distribution)
     {}
 
     void
@@ -131,10 +164,8 @@ class Distribution : public Info
         return var > 0.0 ? std::sqrt(var) : 0.0;
     }
 
-    void print(std::ostream &os, const std::string &prefix) const override;
-
     void
-    reset() override
+    reset()
     {
         _count = 0;
         _sum = _sumSq = 0.0;
@@ -152,7 +183,8 @@ class Distribution : public Info
 
 /**
  * A node in the statistics tree. Groups own neither their child groups nor
- * their statistics; both typically live as members of SimObjects.
+ * their statistics; both typically live as members of SimObjects. A group
+ * that dies unlinks itself from its parent and orphans its children.
  */
 class Group
 {
@@ -165,25 +197,18 @@ class Group
     Group &operator=(const Group &) = delete;
 
     const std::string &groupName() const { return _groupName; }
-    void setGroupName(std::string name) { _groupName = std::move(name); }
-
-    void addStat(Info *info);
-    void addChildGroup(Group *child);
 
     /** Depth-first print of this group's stats and all children. */
-    void printStats(std::ostream &os, const std::string &prefix = "") const;
+    void printStats(std::ostream &os) const;
 
     /** Depth-first reset. */
     void resetStats();
 
-    const std::vector<Info *> &statsList() const { return _stats; }
-    const std::vector<Group *> &childGroups() const { return _children; }
-
     /** Find a statistic by name in this group only; nullptr if absent. */
-    Info *findStat(const std::string &name) const;
+    Info *findStat(std::string_view name) const;
 
     /** Find a direct child group by name; nullptr if absent. */
-    Group *findChild(const std::string &name) const;
+    Group *findChild(std::string_view name) const;
 
     /**
      * Fold @p other into this group: same-named Scalars accumulate,
@@ -195,10 +220,49 @@ class Group
     void mergeFrom(const Group &other);
 
   private:
+    friend class Dump;
+    friend class Info;
+
     std::string _groupName;
     Group *_parent = nullptr;
-    std::vector<Info *> _stats;
-    std::vector<Group *> _children;
+    Info *_firstStat = nullptr;
+    Info *_lastStat = nullptr;
+    Group *_firstChild = nullptr;
+    Group *_lastChild = nullptr;
+    Group *_prevSibling = nullptr;
+    Group *_nextSibling = nullptr;
+};
+
+/**
+ * One stats dump. Lines are appended to a buffer that goes to the stream
+ * in chunks of at least 64 KiB, and the rest when the dump is destroyed.
+ * Each line is "prefix.name  value  # desc": the full name left-aligned
+ * in 44 columns, the value as printf's "%g" right-aligned in 16.
+ */
+class Dump
+{
+  public:
+    explicit Dump(std::ostream &os);
+    ~Dump();
+
+    Dump(const Dump &) = delete;
+    Dump &operator=(const Dump &) = delete;
+
+    /** Append @p group's stats and all its children's, depth first. */
+    void group(const Group &group);
+
+    /** Append one line for the statistic "prefix.name<suffix>". */
+    void line(std::string_view prefix, std::string_view name,
+              std::string_view suffix, double value, std::string_view desc);
+
+  private:
+    void stat(const Info &info);
+    void flush();
+
+    std::ostream &os;
+    std::string buf;
+    /** Dotted name of the group being printed. */
+    std::string prefix;
 };
 
 } // namespace ulp::sim::stats

@@ -69,8 +69,9 @@ TEST_P(EpIsaRoundTrip, EncodeDecodeIdentity)
     }
     // Truncated input must not decode.
     bytes.pop_back();
-    if (!bytes.empty())
+    if (!bytes.empty()) {
         EXPECT_FALSE(EpInstruction::decode(bytes).has_value());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOpcodes, EpIsaRoundTrip,

@@ -192,6 +192,14 @@ TEST(ScenarioParse, DiagnosticsCarryFileAndLine)
                      "no x/y");
 }
 
+TEST(ScenarioParse, CampaignSpecPointsAtCampaignRun)
+{
+    const std::string spec = "# an ensemble\n[campaign]\nname = e\n"
+                             "[axis]\nseed = 1..4\n";
+    expectParseError(spec, "bad.ini:2:");
+    expectParseError(spec, "use 'ulpsim campaign run bad.ini'");
+}
+
 TEST(ScenarioParse, DuplicateNodeSectionIsRejected)
 {
     expectParseError(

@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iomanip>
+#include <limits>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/clock.hh"
@@ -247,6 +253,300 @@ TEST(Stats, FindStatByName)
     stats::Scalar a(&group, "alpha", "");
     EXPECT_EQ(group.findStat("alpha"), &a);
     EXPECT_EQ(group.findStat("beta"), nullptr);
+}
+
+namespace {
+
+/** The iostream line printer the buffered dump replaced: the oracle. */
+void
+iostreamLine(std::ostream &os, const std::string &prefix,
+             const std::string &name, double value, const std::string &desc)
+{
+    std::string full = prefix.empty() ? name : prefix + "." + name;
+    os << std::left << std::setw(44) << full << " "
+       << std::right << std::setw(16) << value
+       << "  # " << desc << "\n";
+}
+
+std::string
+dumpLine(const std::string &prefix, const std::string &name,
+         const std::string &suffix, double value, const std::string &desc)
+{
+    std::ostringstream os;
+    {
+        stats::Dump out(os);
+        out.line(prefix, name, suffix, value, desc);
+    }
+    return os.str();
+}
+
+/** Records the size of every write that reaches it. */
+class ChunkBuf : public std::stringbuf
+{
+  public:
+    std::vector<std::streamsize> writes;
+
+  protected:
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        writes.push_back(n);
+        return std::stringbuf::xsputn(s, n);
+    }
+};
+
+} // namespace
+
+TEST(StatsDump, LineMatchesIostreamOracle)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double dmin = std::numeric_limits<double>::denorm_min();
+    const std::vector<double> values = {
+        0.0, -0.0, dmin, -dmin, 2.2250738585072009e-308, 1e-310,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(), 1e16, -1e16, 1e-16, -1e-16,
+        1e-5, 1e-4, 0.0001234565, 123456, 1234567, -1234567, 999999.4,
+        999999.5, 100000, 0.1, 1.0 / 3.0, 2.5, 12345.65, 9007199254740993.0,
+        inf, -inf, nan, std::copysign(nan, -1.0)};
+    const std::vector<std::string> prefixes = {"", "node7",
+                                               "node12.radio.power"};
+    const std::vector<std::string> suffixes = {
+        "", ".count", ".mean", ".min", ".max", ".stddev"};
+    const std::vector<std::string> descs = {
+        "", "a counter", std::string(200, 'd')};
+
+    unsigned checked = 0;
+    for (const std::string &prefix : prefixes) {
+        for (const std::string &suffix : suffixes) {
+            const std::size_t around =
+                (prefix.empty() ? 0 : prefix.size() + 1) + suffix.size();
+            // Full names of 43, 44 (the column) and 45+ characters.
+            for (std::size_t full : {43u, 44u, 45u, 46u, 80u}) {
+                const std::string name(full - around, 'n');
+                for (double value : values) {
+                    for (const std::string &desc : descs) {
+                        std::ostringstream oracle;
+                        iostreamLine(oracle, prefix, name + suffix, value,
+                                     desc);
+                        ASSERT_EQ(dumpLine(prefix, name, suffix, value, desc),
+                                  oracle.str())
+                            << "prefix '" << prefix << "' suffix '"
+                            << suffix << "' value " << value;
+                        ++checked;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 3u * 6u * 5u * values.size() * 3u);
+}
+
+TEST(StatsDump, TreeMatchesIostreamOracle)
+{
+    stats::Group root(nullptr, "");
+    stats::Group node(&root, "node3");
+    stats::Group radio(&node, "radio");
+    stats::Scalar frames(&node, "frames", "frames sent");
+    stats::Formula half(&node, "half", "half the frames",
+                        [&] { return frames.value() / 2; });
+    stats::Distribution latency(&radio, "latency", "delivery latency (s)");
+    stats::Distribution empty(&radio, "empty", "never sampled");
+    frames += 7;
+    for (double v : {1e-3, 2.5e-3, 4e-3})
+        latency.sample(v);
+
+    std::ostringstream oracle;
+    iostreamLine(oracle, "node3", "frames", 7, "frames sent");
+    iostreamLine(oracle, "node3", "half", 3.5, "half the frames");
+    const std::string d = "delivery latency (s)";
+    iostreamLine(oracle, "node3.radio", "latency.count", 3, d);
+    iostreamLine(oracle, "node3.radio", "latency.mean", latency.mean(), d);
+    iostreamLine(oracle, "node3.radio", "latency.min", 1e-3, d);
+    iostreamLine(oracle, "node3.radio", "latency.max", 4e-3, d);
+    iostreamLine(oracle, "node3.radio", "latency.stddev", latency.stddev(),
+                 d);
+    for (const char *suffix : {".count", ".mean", ".min", ".max", ".stddev"})
+        iostreamLine(oracle, "node3.radio", std::string("empty") + suffix, 0,
+                     "never sampled");
+
+    std::ostringstream os;
+    root.printStats(os);
+    EXPECT_EQ(os.str(), oracle.str());
+}
+
+TEST(StatsDump, WritesInChunksOfAtLeast64KiB)
+{
+    stats::Group root(nullptr, "");
+    std::vector<std::unique_ptr<stats::Group>> groups;
+    std::vector<std::unique_ptr<stats::Scalar>> scalars;
+    std::ostringstream oracle;
+    for (int i = 0; i < 3000; ++i) {
+        groups.push_back(std::make_unique<stats::Group>(
+            &root, "node" + std::to_string(i)));
+        // Names must be literals, so no make_unique: it forwards them.
+        scalars.emplace_back(
+            new stats::Scalar(groups.back().get(), "count", "how many"));
+        *scalars.back() = i * 1.5;
+        iostreamLine(oracle, "node" + std::to_string(i), "count", i * 1.5,
+                     "how many");
+    }
+
+    ChunkBuf buf;
+    std::ostream os(&buf);
+    root.printStats(os);
+    EXPECT_EQ(buf.str(), oracle.str());
+    ASSERT_GE(buf.writes.size(), 3u);
+    for (std::size_t i = 0; i + 1 < buf.writes.size(); ++i)
+        EXPECT_GE(buf.writes[i], 64 * 1024) << "write " << i;
+}
+
+namespace {
+
+/** A parent with five children "a".."e", each holding one Scalar "n". */
+struct Family
+{
+    struct Child
+    {
+        Child(stats::Group *parent, const std::string &name, double v)
+            : group(parent, name), n(&group, "n", "count")
+        {
+            n = v;
+        }
+        stats::Group group;
+        stats::Scalar n;
+    };
+
+    explicit Family(double v)
+    {
+        for (const char *name : {"a", "b", "c", "d", "e"})
+            children.push_back(std::make_unique<Child>(&root, name, v));
+    }
+
+    void
+    kill(const std::string &name)
+    {
+        for (auto &child : children) {
+            if (child && child->group.groupName() == name)
+                child.reset();
+        }
+    }
+
+    stats::Group root{nullptr, "root"};
+    std::vector<std::unique_ptr<Child>> children;
+};
+
+std::string
+printed(const stats::Group &group)
+{
+    std::ostringstream os;
+    group.printStats(os);
+    return os.str();
+}
+
+/** printStats, findChild and mergeFrom see exactly @p survivors, in order. */
+void
+expectSurvivors(Family &family, const std::vector<std::string> &survivors)
+{
+    std::ostringstream oracle;
+    for (const std::string &name : survivors)
+        iostreamLine(oracle, "root." + name, "n", 1, "count");
+    EXPECT_EQ(printed(family.root), oracle.str());
+
+    for (const char *name : {"a", "b", "c", "d", "e", "f"}) {
+        const bool alive = std::find(survivors.begin(), survivors.end(),
+                                     name) != survivors.end();
+        const stats::Group *found = family.root.findChild(name);
+        EXPECT_EQ(found != nullptr, alive) << name;
+        if (found) {
+            EXPECT_EQ(found->groupName(), name);
+        }
+    }
+
+    Family other(10);
+    family.root.mergeFrom(other.root);
+    std::ostringstream merged;
+    for (const std::string &name : survivors) {
+        iostreamLine(merged, "root." + name, "n", name == "f" ? 1 : 11,
+                     "count");
+    }
+    EXPECT_EQ(printed(family.root), merged.str());
+    family.root.resetStats();
+    for (auto &child : family.children) {
+        if (child)
+            child->n = 1;
+    }
+}
+
+} // namespace
+
+TEST(StatsGroup, SurvivorsStayInRegistrationOrder)
+{
+    Family family(1);
+    expectSurvivors(family, {"a", "b", "c", "d", "e"});
+    family.kill("a"); // front
+    expectSurvivors(family, {"b", "c", "d", "e"});
+    family.kill("e"); // back
+    expectSurvivors(family, {"b", "c", "d"});
+    family.kill("c"); // middle
+    expectSurvivors(family, {"b", "d"});
+
+    // A child registered after the removals goes to the end.
+    family.children.push_back(
+        std::make_unique<Family::Child>(&family.root, "f", 1));
+    expectSurvivors(family, {"b", "d", "f"});
+    family.kill("d");
+    family.kill("b");
+    expectSurvivors(family, {"f"});
+    family.kill("f");
+    expectSurvivors(family, {});
+    family.children.push_back(
+        std::make_unique<Family::Child>(&family.root, "a", 1));
+    expectSurvivors(family, {"a"});
+}
+
+TEST(StatsGroup, ParentDiesBeforeItsChildren)
+{
+    auto parent = std::make_unique<stats::Group>(nullptr, "p");
+    stats::Scalar own(parent.get(), "own", "parent's own");
+    auto x = std::make_unique<stats::Group>(parent.get(), "x");
+    auto y = std::make_unique<stats::Group>(parent.get(), "y");
+    auto z = std::make_unique<stats::Group>(parent.get(), "z");
+    stats::Scalar xs(x.get(), "s", "x's");
+    stats::Scalar ys(y.get(), "s", "y's");
+    stats::Group grandchild(y.get(), "g");
+    stats::Scalar gs(&grandchild, "s", "g's");
+    xs = 1;
+    ys = 2;
+    gs = 3;
+
+    parent.reset();
+
+    // The orphans are roots of their own trees now.
+    std::ostringstream oracle;
+    iostreamLine(oracle, "y", "s", 2, "y's");
+    iostreamLine(oracle, "y.g", "s", 3, "g's");
+    EXPECT_EQ(printed(*y), oracle.str());
+    EXPECT_EQ(y->findChild("g"), &grandchild);
+
+    stats::Group other(nullptr, "y");
+    stats::Scalar otherS(&other, "s", "y's");
+    stats::Group otherG(&other, "g");
+    stats::Scalar otherGs(&otherG, "s", "g's");
+    otherS = 20;
+    otherGs = 30;
+    y->mergeFrom(other);
+    EXPECT_DOUBLE_EQ(ys.value(), 22);
+    EXPECT_DOUBLE_EQ(gs.value(), 33);
+
+    // Orphaned siblings die in any order without touching the dead parent.
+    y.reset();
+    x.reset();
+    EXPECT_EQ(printed(*z), "");
+    z.reset();
+    std::ostringstream alone;
+    iostreamLine(alone, "g", "s", 33, "g's");
+    EXPECT_EQ(printed(grandchild), alone.str());
 }
 
 // --------------------------------------------------------------------------
